@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import jsonio
@@ -25,6 +25,7 @@ from .feasibility import FeasibilityOutcome, SolveConfig, decide
 from .states import TripartiteState, build_fixture
 
 DIRECTIONS = ("EtoB", "BtoE")
+_SOLVER_DEFAULTS = SolveConfig()
 
 SCOPE_STATEMENTS = {
     "anti_degradable_certified": (
@@ -60,10 +61,10 @@ class RunConfig:
     """CLI-facing knobs; expands into the solver configuration."""
 
     direction: str = "both"
-    max_iter: int = 20000
-    feas_tol: float = 1e-8
-    witnesses: int = 200
-    seed: int = 0
+    max_iter: int = _SOLVER_DEFAULTS.max_iter
+    feas_tol: float = _SOLVER_DEFAULTS.feas_tol
+    witnesses: int = _SOLVER_DEFAULTS.witnesses
+    seed: int = _SOLVER_DEFAULTS.seed
     output_format: str = "text"
 
     def __post_init__(self) -> None:
@@ -85,19 +86,7 @@ class RunConfig:
 
 
 def _config_obj(config: RunConfig) -> dict:
-    sc = config.solve_config()
-    return {
-        "direction": config.direction,
-        "max_iter": sc.max_iter,
-        "feas_tol": sc.feas_tol,
-        "psd_tol": sc.psd_tol,
-        "stall_window": sc.stall_window,
-        "stall_tol": sc.stall_tol,
-        "verify_tol": sc.verify_tol,
-        "slack_tol": sc.slack_tol,
-        "witnesses": sc.witnesses,
-        "seed": sc.seed,
-    }
+    return {"direction": config.direction, **asdict(config.solve_config())}
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -262,10 +251,10 @@ def cmd_fixture(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser, with_direction: bool) -> None:
     if with_direction:
         parser.add_argument("--direction", choices=("EtoB", "BtoE", "both"), default="both")
-    parser.add_argument("--max-iter", type=int, default=20000)
-    parser.add_argument("--feas-tol", type=float, default=1e-8)
-    parser.add_argument("--witnesses", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--max-iter", type=int, default=_SOLVER_DEFAULTS.max_iter)
+    parser.add_argument("--feas-tol", type=float, default=_SOLVER_DEFAULTS.feas_tol)
+    parser.add_argument("--witnesses", type=int, default=_SOLVER_DEFAULTS.witnesses)
+    parser.add_argument("--seed", type=int, default=_SOLVER_DEFAULTS.seed)
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
 

@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg, rank_one
 from .filters import (
@@ -24,6 +23,9 @@ from .filters import (
     random_witness_filter,
 )
 from .states import BlockFamily, TripartiteState, extract_blocks
+
+# Largest |Σ F*F - I| a verified certificate may show.
+_COMPLETENESS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -52,29 +54,64 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class AffineSystem:
-    """Reduced real-linear constraints Q hvec(J) = c on the Choi matrix.
+    """Φ(M_in^{uv}) = M_out^{uv} and tr_out J = I as an affine set of Choi matrices.
 
-    operator/rhs hold the reduced row-orthonormal system used for projection;
-    raw_operator/raw_rhs keep the full generated rows so residuals are measured
-    against the true constraints (an inconsistent system then has a positive
-    residual floor equal to ``inconsistency`` and can never converge).
+    The constraints act on the realigned Choi matrix Jm[(k,l),(a,b)] =
+    J[(k,a),(l,b)], for which Φ(X) = vec(X)ᵗ Jm. ``sources`` and ``images``
+    stack vec(M_in^{uv}) and vec(M_out^{uv}) over ordered pairs, off-diagonal
+    pairs scaled by 1/√2 so that each unordered pair weighs once. ``basis``
+    holds orthonormal rows Q spanning the sources and ``fitted`` their
+    least-squares images C. The affine set is Q Jm = C together with trace
+    preservation on the complement of span Q; residuals are measured against
+    the weighted pairs themselves, so an inconsistent system has a positive
+    residual floor equal to ``inconsistency`` and can never converge.
+    ``raw_rows`` counts the real equations the constraints amount to.
     """
 
     direction: str
     in_dim: int
     out_dim: int
-    operator: np.ndarray
-    rhs: np.ndarray
-    reduced_rank: int
-    raw_operator: np.ndarray = field(repr=False, default=None)
-    raw_rhs: np.ndarray = field(repr=False, default=None)
-    inconsistency: float = 0.0
+    sources: np.ndarray = field(repr=False)
+    images: np.ndarray = field(repr=False)
+    basis: np.ndarray = field(repr=False)
+    fitted: np.ndarray = field(repr=False)
+    raw_rows: int
     dependency_witness: FilterWitness | None = None
     dependency_detail: str = ""
 
     @property
-    def raw_rows(self) -> int:
-        return self.raw_operator.shape[0]
+    def inconsistency(self) -> float:
+        dim = self.in_dim * self.out_dim
+        return self.residual(self.project(np.zeros((dim, dim), dtype=complex)))
+
+    def _realign(self, J: np.ndarray) -> np.ndarray:
+        i, o = self.in_dim, self.out_dim
+        return J.reshape(i, o, i, o).transpose(0, 2, 1, 3).reshape(i * i, o * o)
+
+    def project(self, J: np.ndarray) -> np.ndarray:
+        """Frobenius-nearest Hermitian point of the affine set."""
+        i, o = self.in_dim, self.out_dim
+        Q = self.basis
+        Jm = self._realign(J)
+        Jm = Jm + linalg.dagger(Q) @ (self.fitted - Q @ Jm)
+        diag = np.arange(o) * (o + 1)
+        g = np.eye(i).reshape(-1) - Jm[:, diag].sum(axis=1)
+        Jm[:, diag] += (g - linalg.dagger(Q) @ (Q @ g))[:, None] / o
+        X = Jm.reshape(i, i, o, o).transpose(0, 2, 1, 3).reshape(i * o, i * o)
+        return (X + linalg.dagger(X)) / 2
+
+    def residual(self, J: np.ndarray) -> float:
+        """Weighted violation by the Hermitian part of J, relative to 1 + ‖right-hand sides‖."""
+        J = (J + linalg.dagger(J)) / 2
+        pairs = self.sources @ self._realign(J) - self.images
+        i, o = self.in_dim, self.out_dim
+        trace = np.trace(J.reshape(i, o, i, o), axis1=1, axis2=3) - np.eye(i)
+        # Each unordered off-diagonal entry of tr_out J - I counts once.
+        sq = np.linalg.norm(pairs) ** 2 + (
+            np.linalg.norm(trace) ** 2 + np.linalg.norm(np.diag(trace)) ** 2
+        ) / 2
+        rhs_sq = i + np.linalg.norm(self.images) ** 2
+        return float(np.sqrt(sq) / (1.0 + np.sqrt(rhs_sq)))
 
 
 @dataclass(frozen=True)
@@ -171,13 +208,9 @@ def build_constraints(
     n = len(fam_in)
     in_dim = fam_in[0].shape[0]
     out_dim = fam_out[0].shape[0]
-    dim = in_dim * out_dim
 
     stacked = np.column_stack([m.reshape(-1) for m in fam_in])
-    _, Rq, piv = scipy.linalg.qr(stacked, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(Rq))
-    k = int(np.sum(diag > dep_tol * max(diag[0], 1e-300))) if diag.size else 0
-    keep = sorted(piv[:k].tolist())
+    keep = linalg.independent_columns(stacked, dep_tol)
     dropped = [i for i in range(n) if i not in keep]
 
     witness = None
@@ -211,59 +244,32 @@ def build_constraints(
                 )
                 break
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-
-    def add_complex_row(G: np.ndarray, z: complex) -> None:
-        # tr(H J) = Re tr(G^† J) and tr(K J) = Im tr(G^† J) for Hermitian J.
-        H = (G + linalg.dagger(G)) / 2
-        K = (linalg.dagger(G) - G) / 2j
-        rows.append(linalg.hvec(H))
-        rhs.append(float(z.real))
-        rows.append(linalg.hvec(K))
-        rhs.append(float(z.imag))
-
-    for kk in range(in_dim):
-        for ll in range(kk, in_dim):
-            E = np.zeros((in_dim, in_dim), dtype=complex)
-            E[kk, ll] = 1.0
-            add_complex_row(np.kron(E, np.eye(out_dim)), complex(kk == ll))
-
     pair_list = (
-        [(u, v) for ui, u in enumerate(keep) for v in keep[ui:]]
-        if pairs == "all"
-        else [(u, u) for u in keep]
+        [(u, v) for u in keep for v in keep] if pairs == "all" else [(u, u) for u in keep]
     )
-    for u, v in pair_list:
-        M_in = fam_in[u] @ linalg.dagger(fam_in[v])
-        M_out = fam_out[u] @ linalg.dagger(fam_out[v])
-        for a in range(out_dim):
-            for b in range(out_dim):
-                G = np.kron(M_in.conj(), _unit_matrix(out_dim, a, b))
-                add_complex_row(G, complex(M_out[a, b]))
+    weights = np.array([1.0 if u == v else np.sqrt(0.5) for u, v in pair_list])
 
-    A = np.vstack(rows)
-    b = np.asarray(rhs)
-    reduced = linalg.reduce_rows(A, b)
+    def stack(fam: list[np.ndarray]) -> np.ndarray:
+        rows = [(fam[u] @ linalg.dagger(fam[v])).reshape(-1) for u, v in pair_list]
+        return weights[:, None] * np.array(rows)
+
+    sources, images = stack(fam_in), stack(fam_out)
+    reduced = linalg.reduce_rows(sources, images)
+    # Each unordered pair is one complex equation per output entry; off-diagonal
+    # pairs appear twice in pair_list.
+    unordered = (len(pair_list) + len(keep)) // 2
     return AffineSystem(
         direction=direction,
         in_dim=in_dim,
         out_dim=out_dim,
-        operator=reduced.Q,
-        rhs=reduced.c,
-        reduced_rank=reduced.rank,
-        raw_operator=A,
-        raw_rhs=b,
-        inconsistency=reduced.inconsistency,
+        sources=sources,
+        images=images,
+        basis=reduced.Q,
+        fitted=reduced.c,
+        raw_rows=in_dim * (in_dim + 1) + 2 * unordered * out_dim * out_dim,
         dependency_witness=witness,
         dependency_detail=detail,
     )
-
-
-def _unit_matrix(d: int, a: int, b: int) -> np.ndarray:
-    E = np.zeros((d, d), dtype=complex)
-    E[a, b] = 1.0
-    return E
 
 
 def solve_feasibility(
@@ -285,25 +291,10 @@ def solve_feasibility(
             detail=system.dependency_detail,
         )
     dim = system.in_dim * system.out_dim
-    Q = system.operator
-    c = system.rhs
-    A = system.raw_operator
-    b = system.raw_rhs
-    scale = 1.0 + float(np.linalg.norm(b))
-
-    def project_affine(X: np.ndarray) -> np.ndarray:
-        x = linalg.hvec((X + linalg.dagger(X)) / 2)
-        x = x + Q.T @ (c - Q @ x)
-        return linalg.unhvec(x, dim)
-
-    def affine_residual(X: np.ndarray) -> float:
-        x = linalg.hvec((X + linalg.dagger(X)) / 2)
-        return float(np.linalg.norm(A @ x - b)) / scale
-
     start = initial if initial is not None else np.eye(dim, dtype=complex) / system.out_dim
     result = linalg.alternating_projections(
-        project_affine,
-        affine_residual,
+        system.project,
+        system.residual,
         start,
         max_iter=config.max_iter,
         feas_tol=config.feas_tol,
@@ -421,19 +412,26 @@ def decide(
     outcome = solve_feasibility(system, config)
     if outcome.status != "Feasible":
         return outcome
-    residual = verify_channel(outcome.certificate, state, direction)
-    defect = outcome.certificate.completeness_defect()
-    if residual <= config.verify_tol and defect <= 1e-8:
-        return replace(outcome, detail=outcome.detail + f"; verified {residual:.3g}")
+    ok, note = _check_certificate(outcome.certificate, state, direction, config)
+    if ok:
+        return replace(outcome, detail=f"{outcome.detail}; {note}")
     return replace(
         outcome,
         status="Inconclusive",
         certificate=None,
-        detail=(
-            f"solver converged but certificate failed verification "
-            f"(residual {residual:.3g}, completeness defect {defect:.3g})"
-        ),
+        detail=f"solver converged but certificate failed verification ({note})",
     )
+
+
+def _check_certificate(
+    kraus: KrausSet, state: TripartiteState, direction: str, config: SolveConfig
+) -> tuple[bool, str]:
+    """Re-verify a Kraus certificate on the state; the note states the evidence."""
+    residual = verify_channel(kraus, state, direction)
+    defect = kraus.completeness_defect()
+    if residual <= config.verify_tol and defect <= _COMPLETENESS_TOL:
+        return True, f"verified {residual:.3g}"
+    return False, f"residual {residual:.3g}, completeness defect {defect:.3g}"
 
 
 def _decide_rank_one(
@@ -448,14 +446,14 @@ def _decide_rank_one(
     verdict, cert, reason = rank_one.check_condition_e(oriented)
     if verdict == "Yes":
         kraus = KrausSet(rank_one.kraus_from_correlation(oriented, cert))
-        residual = verify_channel(kraus, state, direction)
-        if residual <= config.verify_tol and kraus.completeness_defect() <= 1e-8:
+        ok, note = _check_certificate(kraus, state, direction, config)
+        if ok:
             return FeasibilityOutcome(
                 status="Feasible",
                 stage="rank_one",
                 certificate=kraus,
                 choi=choi_from_kraus(kraus),
-                detail=f"condition (e): {reason}; verified {residual:.3g}",
+                detail=f"condition (e): {reason}; {note}",
             )
         return None
     if verdict == "No":

@@ -125,34 +125,6 @@ def state_from_obj(obj: Any) -> TripartiteState:
     return TripartiteState((n, p, q), amps)
 
 
-def channel_to_obj(channel: QuantumChannel) -> dict:
-    return {
-        "in_dim": channel.kraus.in_dim,
-        "out_dim": channel.kraus.out_dim,
-        "kraus": [complex_matrix_to_pairs(F) for F in channel.kraus.operators],
-    }
-
-
-def channel_from_obj(obj: Any) -> QuantumChannel:
-    in_dim = _require(obj, "in_dim", "channel")
-    out_dim = _require(obj, "out_dim", "channel")
-    for key, val in (("in_dim", in_dim), ("out_dim", out_dim)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise SchemaError(f"field '{key}' must be a positive integer, got {val!r}")
-    raw = _require(obj, "kraus", "channel")
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError("field 'kraus' must be a non-empty list of matrices")
-    ops = []
-    for j, mat in enumerate(raw):
-        F = pairs_to_complex_matrix(mat, f"kraus[{j}]")
-        if F.shape != (out_dim, in_dim):
-            raise SchemaError(
-                f"field 'kraus[{j}]' has shape {F.shape}, expected ({out_dim}, {in_dim})"
-            )
-        ops.append(F)
-    return QuantumChannel(KrausSet(ops))
-
-
 def kraus_to_obj(kraus: KrausSet) -> dict:
     return {
         "in_dim": kraus.in_dim,
@@ -164,7 +136,12 @@ def kraus_to_obj(kraus: KrausSet) -> dict:
 def kraus_from_obj(obj: Any) -> KrausSet:
     in_dim = _require(obj, "in_dim", "Kraus set")
     out_dim = _require(obj, "out_dim", "Kraus set")
+    for key, val in (("in_dim", in_dim), ("out_dim", out_dim)):
+        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+            raise SchemaError(f"field '{key}' must be a positive integer, got {val!r}")
     raw = _require(obj, "kraus", "Kraus set")
+    if not isinstance(raw, list) or not raw:
+        raise SchemaError("field 'kraus' must be a non-empty list of matrices")
     ops = []
     for j, mat in enumerate(raw):
         F = pairs_to_complex_matrix(mat, f"kraus[{j}]")
@@ -174,6 +151,14 @@ def kraus_from_obj(obj: Any) -> KrausSet:
             )
         ops.append(F)
     return KrausSet(ops)
+
+
+def channel_to_obj(channel: QuantumChannel) -> dict:
+    return kraus_to_obj(channel.kraus)
+
+
+def channel_from_obj(obj: Any) -> QuantumChannel:
+    return QuantumChannel(kraus_from_obj(obj))
 
 
 def witness_to_obj(witness: FilterWitness) -> dict:

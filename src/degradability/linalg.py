@@ -126,39 +126,35 @@ def gram(vectors: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return dagger(M) @ M
 
 
-def hvec(H: np.ndarray) -> np.ndarray:
-    """Isometric real parameterization of a Hermitian matrix.
+def independent_columns(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[int]:
+    """Sorted indices of a maximal linearly independent set of columns of ``M``.
 
-    Layout: diagonal, then sqrt(2) * real and sqrt(2) * imaginary parts of the
-    strict upper triangle (row-major), so that the Euclidean norm equals the
-    Frobenius norm and real inner products are preserved.
+    Greedy Gram-Schmidt with column pivoting: each step keeps the column with
+    the largest component orthogonal to the columns kept so far, and stops once
+    that component falls to ``tol`` times the largest column norm.
     """
-    m = H.shape[0]
-    iu, ju = np.triu_indices(m, k=1)
-    upper = H[iu, ju]
-    return np.concatenate(
-        [H.diagonal().real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag]
-    )
-
-
-def unhvec(x: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of ``hvec`` for an ``m x m`` Hermitian matrix."""
-    k = m * (m - 1) // 2
-    if x.size != m * m:
-        raise ValueError(f"unhvec: expected {m * m} components, got {x.size}")
-    H = np.zeros((m, m), dtype=complex)
-    iu, ju = np.triu_indices(m, k=1)
-    upper = (x[m : m + k] + 1j * x[m + k :]) / np.sqrt(2.0)
-    H[iu, ju] = upper
-    H[ju, iu] = upper.conj()
-    H[np.diag_indices(m)] = x[:m]
-    return H
+    rest = np.array(M, dtype=complex)
+    norms = np.linalg.norm(rest, axis=0)
+    floor = tol * norms.max(initial=0.0)
+    keep: list[int] = []
+    for _ in range(min(rest.shape)):
+        j = int(np.argmax(norms))
+        if norms[j] <= floor:
+            break
+        keep.append(j)
+        q = rest[:, j] / norms[j]
+        for _ in range(2):  # the second pass removes what rounding left along q
+            rest -= np.outer(q, q.conj() @ rest)
+        norms = np.linalg.norm(rest, axis=0)
+    return sorted(keep)
 
 
 @dataclass(frozen=True)
 class ReducedAffine:
-    """Affine set ``{x : A x = b}`` rewritten as ``Q x = c`` with orthonormal rows.
+    """Least-squares solution set of ``A x = b`` rewritten as ``Q x = c``.
 
+    ``Q`` has orthonormal rows spanning the row space of ``A``; ``b`` and ``c``
+    may be vectors or matrices with one column per right-hand side.
     ``inconsistency`` is the relative residual of the min-norm solution; a value
     well above the reduction tolerance proves the original system has no solution.
     """
@@ -170,14 +166,14 @@ class ReducedAffine:
 
 
 def reduce_rows(A: np.ndarray, b: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> ReducedAffine:
-    """SVD row reduction of a real linear system to independent orthonormal rows."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    """SVD row reduction of a real or complex linear system to orthonormal rows."""
+    A = np.asarray(A)
+    b = np.asarray(b)
+    U, s, Vh = np.linalg.svd(A, full_matrices=False)
     rank = int(np.count_nonzero(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    Q = Vt[:rank]
-    c = (U[:, :rank].T @ b) / s[:rank]
-    x_min = Q.T @ c
+    Q = Vh[:rank]
+    c = (dagger(U[:, :rank]) / s[:rank, None]) @ b
+    x_min = dagger(Q) @ c
     inconsistency = float(np.linalg.norm(A @ x_min - b) / (1.0 + np.linalg.norm(b)))
     return ReducedAffine(Q=Q, c=c, rank=rank, inconsistency=inconsistency)
 

@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import degradability
 from degradability import jsonio
 from degradability.channels import QuantumChannel, depolarizing, epsilon_scan
 from degradability.cli import RunConfig, main
@@ -92,6 +96,10 @@ class TestChannelSchema:
         with pytest.raises(jsonio.SchemaError, match=r"kraus\[2\]"):
             jsonio.channel_from_obj(obj)
 
+    def test_empty_kraus_list_rejected(self) -> None:
+        with pytest.raises(jsonio.SchemaError, match="non-empty"):
+            jsonio.kraus_from_obj({"in_dim": 2, "out_dim": 2, "kraus": []})
+
     def test_non_cptp_rejected_with_defect(self) -> None:
         obj = {
             "in_dim": 2,
@@ -160,6 +168,7 @@ class TestAnalyzeState:
         assert report["config"]["max_iter"] == 77
         assert report["config"]["seed"] == 3
         assert report["config"]["verify_tol"] == 1e-7
+        assert report["config"]["rank_tol"] == 1e-10
 
     def test_inconclusive_exits_two_and_reports_stall(self, tmp_path: Path, capsys) -> None:
         path = write_state(tmp_path / "s.json", random_state(0))
@@ -318,3 +327,13 @@ class TestOutcomeSerialization:
         text = jsonio.scan_to_csv(epsilon_scan(0.2, 0.3, 0.05))
         assert text.endswith("\n") and "\r" not in text
         assert text.splitlines()[0] == "epsilon,d_R,d_S,verdict,qber"
+
+
+def test_cli_import_needs_only_numpy() -> None:
+    src = str(Path(degradability.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, degradability.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

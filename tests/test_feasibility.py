@@ -10,9 +10,11 @@ from degradability import feasibility as fz
 from degradability import linalg, states
 from degradability.filters import pair_filter, random_witness_filter
 
-from helpers import brute_force_feasibility, crandn, random_kraus, rng
+from helpers import brute_force_feasibility, crandn, random_kraus, random_state_vector, rng
 
 SEC4_STALL_BASELINE = 0.0606096
+# Relative least-squares residual of the full sec4 E->B system (unnormalized fixture).
+SEC4_LINEAR_FLOOR = 0.06060962906665683
 
 
 def example2_reference_kraus(a: float, b: float) -> fz.KrausSet:
@@ -82,24 +84,67 @@ class TestBuildConstraints:
     def test_ghz_system_satisfied_by_identity_choi(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
         system = fz.build_constraints(blocks, "EtoB")
-        J = fz.choi_from_kraus(fz.KrausSet([np.eye(2, dtype=complex)]))
-        x = linalg.hvec(J.matrix)
-        assert np.linalg.norm(system.raw_operator @ x - system.raw_rhs) <= 1e-12
-        assert np.linalg.norm(system.operator @ x - system.rhs) <= 1e-12
+        J = fz.choi_from_kraus(fz.KrausSet([np.eye(2, dtype=complex)])).matrix
+        assert system.residual(J) <= 1e-12
+        assert np.linalg.norm(system.project(J) - J) <= 1e-12
 
     def test_example2_system_satisfied_by_reference_choi(self):
         ex = states.build_fixture("example2", a=0.5, b=0.5)
         system = fz.build_constraints(states.extract_blocks(ex), "EtoB")
-        J = fz.choi_from_kraus(example2_reference_kraus(0.5, 0.5))
-        x = linalg.hvec(J.matrix)
-        assert np.linalg.norm(system.raw_operator @ x - system.raw_rhs) <= 1e-12
+        J = fz.choi_from_kraus(example2_reference_kraus(0.5, 0.5)).matrix
+        assert system.residual(J) <= 1e-12
+        assert np.linalg.norm(system.project(J) - J) <= 1e-12
 
     def test_reduced_rows_are_orthonormal(self):
         blocks = states.extract_blocks(symmetric_slice_state(3))
         system = fz.build_constraints(blocks, "EtoB")
-        Q = system.operator
-        assert Q.shape[0] == system.reduced_rank
-        assert np.allclose(Q @ Q.T, np.eye(Q.shape[0]), atol=1e-10)
+        Q = system.basis
+        assert np.allclose(Q @ Q.conj().T, np.eye(Q.shape[0]), atol=1e-10)
+        # The rows span every weighted source pair.
+        S = system.sources
+        assert np.allclose(S @ Q.conj().T @ Q, S, atol=1e-10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 3, 2), (3, 2, 3), (4, 3, 2)]),
+        st.sampled_from(["EtoB", "BtoE"]),
+        st.sampled_from([1.0, 1.5]),
+    )
+    def test_projector_is_hermitian_idempotent_and_orthogonal(
+        self, seed, dims, direction, target_scale
+    ):
+        # A target scale other than 1 breaks tr M_out^{uv} = tr M_in^{uv}, so
+        # trace preservation then competes with the pair constraints.
+        gen = rng(seed)
+        n, p, q = dims
+        state = states.TripartiteState(dims, random_state_vector(gen, n * p * q))
+        blocks = states.extract_blocks(state)
+        blocks = states.BlockFamily(
+            S=[target_scale * M for M in blocks.S], R=blocks.R, svd_factors=blocks.svd_factors
+        )
+        system = fz.build_constraints(blocks, direction)
+        dim = system.in_dim * system.out_dim
+
+        def herm() -> np.ndarray:
+            Z = crandn(gen, dim, dim)
+            return (Z + Z.conj().T) / 2
+
+        X, Y = herm(), herm()
+        PX, PY = system.project(X), system.project(Y)
+        assert np.array_equal(PX, PX.conj().T)
+        # The image lies in the set: Φ(Q_i) = C_i, and tr_out J = I off span Q.
+        J = fz.ChoiMatrix(PX, system.in_dim, system.out_dim)
+        Q = system.basis
+        images = [J.apply(row.reshape(system.in_dim, -1)).reshape(-1) for row in Q]
+        assert np.allclose(images, system.fitted, atol=1e-10)
+        g = (J.trace_out_output() - np.eye(system.in_dim)).reshape(-1)
+        assert np.allclose(g - Q.conj().T @ (Q @ g), 0, atol=1e-10)
+        assert np.allclose(system.project(PX), PX, atol=1e-10)
+        inner = np.vdot(X - PX, PY - PX).real
+        assert abs(inner) <= 1e-10 * (1 + np.linalg.norm(X) * np.linalg.norm(Y))
+        zero = np.zeros((dim, dim), dtype=complex)
+        assert system.residual(system.project(zero)) == system.inconsistency
 
     def test_rejects_unknown_pairs_mode(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
@@ -174,10 +219,11 @@ class TestSolveFeasibility:
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
         system = fz.build_constraints(blocks, "EtoB")
-        assert system.inconsistency > 0.01
+        assert system.inconsistency == pytest.approx(SEC4_LINEAR_FLOOR, rel=1e-9)
         out = fz.solve_feasibility(system)
         assert out.status == "Inconclusive"
         assert "stalled" in out.detail
+        assert out.residual_affine == pytest.approx(SEC4_LINEAR_FLOOR, rel=1e-9)
         assert 0.5 * SEC4_STALL_BASELINE <= out.residual_affine <= 1.5 * SEC4_STALL_BASELINE
 
     def test_sec4_full_system_floor_is_start_independent(self):

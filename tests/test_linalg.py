@@ -191,27 +191,24 @@ def test_gram_length_mismatch():
         linalg.gram([np.ones(2), np.ones(3)])
 
 
-def test_hvec_isometry_roundtrip():
-    gen = rng(9)
-    for m in (1, 2, 5):
-        A = crandn(gen, m, m)
-        H = (A + A.conj().T) / 2
-        v = linalg.hvec(H)
-        assert v.shape == (m * m,)
-        assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(H), abs=1e-12)
-        assert np.allclose(linalg.unhvec(v, m), H, atol=1e-13)
-        B = crandn(gen, m, m)
-        K = (B + B.conj().T) / 2
-        inner_mat = np.trace(K.conj().T @ H).real
-        assert float(linalg.hvec(K) @ v) == pytest.approx(inner_mat, abs=1e-11)
-
-
 def test_project_psd():
     A = np.array([[1.0, -2.0, 3.0], [-2.0, 3.0, -2.0], [3.0, -2.0, 1.0]])
     X = linalg.project_psd(A)
     expected = np.array([[2.0, -2.0, 2.0], [-2.0, 3.0, -2.0], [2.0, -2.0, 2.0]])
     assert np.allclose(X, expected, atol=1e-12)
     assert linalg.min_eig(X) >= -1e-12
+
+
+def test_independent_columns_spans_low_rank_matrix():
+    gen = rng(4)
+    M = crandn(gen, 6, 3) @ crandn(gen, 3, 5)
+    keep = linalg.independent_columns(M)
+    assert len(keep) == 3 and keep == sorted(keep)
+    assert np.linalg.matrix_rank(M[:, keep]) == 3
+    assert linalg.independent_columns(np.zeros((4, 2))) == []
+    # A column dependent up to rounding is not independent.
+    N = np.column_stack([M[:, 0], M[:, 1], M[:, 0] + M[:, 1] + 1e-14])
+    assert len(linalg.independent_columns(N)) == 2
 
 
 def test_reduce_rows_consistent_and_inconsistent():
@@ -225,6 +222,13 @@ def test_reduce_rows_consistent_and_inconsistent():
 
     red_bad = linalg.reduce_rows(A, np.array([1.0, 2.0, 4.0]))
     assert red_bad.inconsistency > 1e-3
+
+    # Complex rows and one right-hand side per column.
+    gen = rng(2)
+    Ac, X = crandn(gen, 4, 3), crandn(gen, 3, 2)
+    red_c = linalg.reduce_rows(Ac, Ac @ X)
+    assert red_c.rank == 3 and red_c.inconsistency < 1e-12
+    assert np.allclose(red_c.Q @ X, red_c.c, atol=1e-12)
 
 
 def test_alternating_projections_feasible_correlation():
