@@ -39,7 +39,7 @@ class QuantumChannel:
                 f"channel must be square, got {self.kraus.in_dim} -> {self.kraus.out_dim}"
             )
         defect = self.kraus.completeness_defect()
-        if defect > 1e-8:
+        if defect > linalg.COMPLETENESS_TOL:
             raise ValueError(f"Kraus set is not trace preserving (defect {defect:.3g})")
 
     @property

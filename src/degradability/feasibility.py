@@ -2,9 +2,11 @@
 
 The existence of a channel Φ with Φ(R_uR_v*) = S_uS_v* for all u, v is encoded
 as an affine system on the Hermitian Choi matrix J = Σ_kl E_kl ⊗ Φ(E_kl)
-(input index slow, output fast) intersected with the PSD cone, and attacked by
-alternating projections. The solver never claims infeasibility; only trace-norm
-filter witnesses rule out.
+(input index slow, output fast) intersected with the PSD cone, and searched by
+Douglas–Rachford splitting between the two sets. Kraus certificates are taken
+from the affine projection of the last cone iterate, which satisfies the affine
+constraints, trace preservation included, exactly. The solver never claims
+infeasibility; only trace-norm filter witnesses rule out.
 """
 from __future__ import annotations
 
@@ -23,9 +25,6 @@ from .filters import (
     random_witness_filter,
 )
 from .states import BlockFamily, TripartiteState, extract_blocks
-
-# Largest |Σ F*F - I| a verified certificate may show.
-_COMPLETENESS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -277,9 +276,12 @@ def solve_feasibility(
     config: SolveConfig = SolveConfig(),
     initial: np.ndarray | None = None,
 ) -> FeasibilityOutcome:
-    """Alternating projections between the affine set and the PSD cone.
+    """Douglas–Rachford splitting between the affine set and the PSD cone.
 
-    Feasible outcomes carry the extracted Kraus certificate. The solver never
+    Feasible outcomes carry the Kraus certificate extracted from the affine
+    point P_aff(X) of the converged cone iterate X. P_aff(X) satisfies the
+    affine constraints exactly, so the certificate's completeness defect comes
+    only from the near-zero eigenvalues that extraction drops. The solver never
     returns RuledOut on its own; a dependency witness recorded on the system is
     the only way this stage rules out.
     """
@@ -320,7 +322,7 @@ def solve_feasibility(
             choi=wrap(result.point),
             detail=f"projections {reason} after {result.iterations} iterations",
         )
-    J = wrap(result.point)
+    J = wrap(result.affine_point)
     kraus = extract_kraus(J, config.rank_tol)
     return FeasibilityOutcome(
         status="Feasible",
@@ -429,7 +431,7 @@ def _check_certificate(
     """Re-verify a Kraus certificate on the state; the note states the evidence."""
     residual = verify_channel(kraus, state, direction)
     defect = kraus.completeness_defect()
-    if residual <= config.verify_tol and defect <= _COMPLETENESS_TOL:
+    if residual <= config.verify_tol and defect <= linalg.COMPLETENESS_TOL:
         return True, f"verified {residual:.3g}"
     return False, f"residual {residual:.3g}, completeness defect {defect:.3g}"
 

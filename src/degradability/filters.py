@@ -160,7 +160,9 @@ def random_witness_filter(
 
 
 def contractivity_check(
-    kraus: list[np.ndarray], sigma: np.ndarray, completeness_tol: float = 1e-8
+    kraus: list[np.ndarray],
+    sigma: np.ndarray,
+    completeness_tol: float = linalg.COMPLETENESS_TOL,
 ) -> tuple[float, float]:
     """Trace norms of sigma before and after the channel; after may not exceed before."""
     if not kraus:

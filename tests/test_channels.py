@@ -14,7 +14,15 @@ from degradability.channels import (
     lift_prepared,
     stinespring,
 )
-from degradability.feasibility import KrausSet, SolveConfig, decide, verify_channel
+from degradability.feasibility import (
+    KrausSet,
+    SolveConfig,
+    _check_certificate,
+    decide,
+    verify_channel,
+)
+from degradability.filters import contractivity_check
+from degradability.states import build_fixture
 from helpers import crandn, depolarizing_lift_state, random_kraus, rng
 
 
@@ -58,6 +66,26 @@ class TestQuantumChannel:
     def test_rejects_empty_kraus(self) -> None:
         with pytest.raises(ValueError, match="at least one"):
             QuantumChannel(KrausSet([]))
+
+    def test_completeness_bound_is_shared(self) -> None:
+        # Channel inputs, contractivity checks and decide's certificate check
+        # accept and reject the same Kraus sets.
+        ghz = build_fixture("ghz")
+        config = SolveConfig()
+        for defect, accepted in ((5e-9, True), (2e-8, False)):
+            kraus = KrausSet([np.sqrt(1 + defect) * np.eye(2, dtype=complex)])
+            assert kraus.completeness_defect() == pytest.approx(defect, rel=1e-6)
+            assert verify_channel(kraus, ghz, "EtoB") <= config.verify_tol
+            ok, note = _check_certificate(kraus, ghz, "EtoB", config)
+            assert ok is accepted, note
+            if accepted:
+                QuantumChannel(kraus)
+                contractivity_check(kraus.operators, np.eye(2))
+            else:
+                with pytest.raises(ValueError, match="trace preserving"):
+                    QuantumChannel(kraus)
+                with pytest.raises(ValueError, match="trace-preserving"):
+                    contractivity_check(kraus.operators, np.eye(2))
 
 
 class TestDepolarizing:

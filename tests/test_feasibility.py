@@ -239,6 +239,27 @@ class TestSolveFeasibility:
         assert out.status == "Inconclusive"
         assert out.residual_affine == pytest.approx(SEC4_STALL_BASELINE, rel=0.5)
 
+    def test_planted_states_feasible_within_small_budget(self):
+        # chi on A (x) B (x) E' (x) E'' is symmetric under B <-> E', so tracing
+        # out E'' and relabelling E' as B is a channel E -> B: every case is
+        # feasible, and a 1000-iteration budget should certify nearly all.
+        config = fz.SolveConfig(max_iter=1000)
+        verified = 0
+        for n, p, e2 in ((2, 4, 1), (2, 3, 2)):  # Choi 16 and 18
+            for seed in range(10):
+                Z = crandn(np.random.default_rng(seed), n, p, p, e2)
+                chi = (Z + Z.transpose(0, 2, 1, 3)) / 2
+                state = states.TripartiteState((n, p, p * e2), chi.reshape(-1))
+                system = fz.build_constraints(states.extract_blocks(state), "EtoB")
+                out = fz.solve_feasibility(system, config)
+                if out.status == "Feasible":
+                    # The certificate's Choi matrix is the exact affine point.
+                    assert system.residual(out.choi.matrix) <= 1e-12
+                    verified += fz._check_certificate(
+                        out.certificate, state, "EtoB", config
+                    )[0]
+        assert verified >= 19
+
     def test_solver_never_rules_out_without_witness(self):
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))

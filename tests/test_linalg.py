@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degradability import linalg
+from degradability import feasibility, linalg, states
 from helpers import crandn, partial_trace_oracle, random_unitary, rng
 
 
@@ -254,6 +254,36 @@ def test_alternating_projections_infeasible_stalls():
     res = linalg.complete_psd(C, mask, max_iter=4000)
     assert not res.converged
     assert res.residual_affine > 1e-3 or res.residual_psd > 1e-3
+
+
+def test_converged_affine_point_satisfies_the_affine_set():
+    # Certificates are read off affine_point, so it must meet the affine
+    # constraints exactly, not just within feas_tol. Both cases converge to
+    # the PSD boundary, where the cone iterate is still ~1e-9 off the set.
+    psd_tol = 1e-9
+    g = crandn(rng(0), 5, 1)
+    C = g @ g.conj().T
+    mask = np.abs(np.subtract.outer(np.arange(5), np.arange(5))) <= 1
+    res = linalg.complete_psd(C, mask, start=np.eye(5, dtype=complex), psd_tol=psd_tol)
+    assert res.converged
+    assert np.max(np.abs(res.affine_point[mask] - C[mask])) <= 1e-12
+    assert np.max(np.abs(res.affine_point - res.affine_point.conj().T)) <= 1e-12
+    assert linalg.min_eig(res.affine_point) >= -psd_tol
+    assert linalg.min_eig(res.point) >= -1e-12
+
+    # A planted E -> B state (Choi 16): chi is symmetric under B <-> E.
+    Z = crandn(rng(0), 2, 4, 4)
+    state = states.TripartiteState((2, 4, 4), ((Z + Z.transpose(0, 2, 1)) / 2).reshape(-1))
+    system = feasibility.build_constraints(states.extract_blocks(state), "EtoB")
+    dim = system.in_dim * system.out_dim
+    res = linalg.alternating_projections(
+        system.project, system.residual, np.eye(dim, dtype=complex), psd_tol=psd_tol
+    )
+    assert res.converged
+    assert system.residual(res.affine_point) <= 1e-12
+    assert np.max(np.abs(system.project(res.affine_point) - res.affine_point)) <= 1e-12
+    assert linalg.min_eig(res.affine_point) >= -psd_tol
+    assert linalg.min_eig(res.point) >= -1e-12
 
 
 @settings(max_examples=25, deadline=None)
