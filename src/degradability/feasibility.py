@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,9 @@ class AffineSystem:
     the weighted pairs themselves, so an inconsistent system has a positive
     residual floor equal to ``inconsistency`` and can never converge.
     ``raw_rows`` counts the real equations the constraints amount to.
+
+    ``project`` and ``residual`` state the two maps on their own;
+    ``project_and_residual`` is the engine's fused form of both.
     """
 
     direction: str
@@ -98,6 +102,44 @@ class AffineSystem:
         Jm[:, diag] += (g - linalg.dagger(Q) @ (Q @ g))[:, None] / o
         X = Jm.reshape(i, i, o, o).transpose(0, 2, 1, 3).reshape(i * o, i * o)
         return (X + linalg.dagger(X)) / 2
+
+    @cached_property
+    def _fused(self) -> tuple[np.ndarray, ...]:
+        # Q*, sources·Q*, the trace corrector (I - Q*Q)/o, vec(I) and
+        # 1/(1 + ‖b‖): all that project_and_residual needs besides J.
+        i, o = self.in_dim, self.out_dim
+        Q_h = linalg.dagger(self.basis)
+        corrector = (np.eye(i * i) - Q_h @ self.basis) / o
+        rhs = np.sqrt(i + np.linalg.norm(self.images) ** 2)
+        return Q_h, self.sources @ Q_h, corrector, np.eye(i).reshape(-1), 1.0 / (1.0 + rhs)
+
+    def project_and_residual(self, J: np.ndarray) -> tuple[np.ndarray, float]:
+        """``project(J)`` and ``residual(J)`` of a Hermitian J from one realignment.
+
+        J is taken as Hermitian, as the engine's iterates are up to rounding,
+        and the result is Hermitian up to rounding; neither is re-symmetrized.
+        The sources lie in span Q, so the pair residual is (sources·Q*)(Q·Jm)
+        - images and reuses Q·Jm. Because (I - Q*Q) Q* = 0, the trace
+        correction after the pair step is -(I - Q*Q)/o applied to the trace
+        defect vec(tr_out J - I) of the input, which the residual needs anyway.
+        """
+        i, o = self.in_dim, self.out_dim
+        Q_h, sources_q, corrector, eye, inv_scale = self._fused
+        # A fresh copy: Jm is updated in place below.
+        Jm = J.reshape(i, o, i, o).transpose(0, 2, 1, 3).copy().reshape(i * i, o * o)
+        QJm = self.basis @ Jm
+        diag = Jm[:, :: o + 1]  # columns (a, a): a view into Jm
+        trace = diag.sum(axis=1) - eye
+        pairs = sources_q @ QJm - self.images
+        # Each unordered off-diagonal entry of tr_out J - I counts once.
+        trace_diag = trace[:: i + 1]
+        sq = np.vdot(pairs, pairs).real + (
+            np.vdot(trace, trace).real + np.vdot(trace_diag, trace_diag).real
+        ) / 2
+        Jm += Q_h @ (self.fitted - QJm)
+        diag -= (corrector @ trace)[:, None]
+        X = Jm.reshape(i, i, o, o).transpose(0, 2, 1, 3).reshape(i * o, i * o)
+        return X, float(np.sqrt(sq) * inv_scale)
 
     def residual(self, J: np.ndarray) -> float:
         """Weighted violation by the Hermitian part of J, relative to 1 + ‖right-hand sides‖."""
@@ -295,9 +337,8 @@ def solve_feasibility(
     dim = system.in_dim * system.out_dim
     start = initial if initial is not None else np.eye(dim, dtype=complex) / system.out_dim
     result = linalg.alternating_projections(
-        system.project,
-        system.residual,
-        start,
+        system.project_and_residual,
+        start=start,
         max_iter=config.max_iter,
         feas_tol=config.feas_tol,
         psd_tol=config.psd_tol,

@@ -62,6 +62,12 @@ def combination(mats: list[np.ndarray], lam: np.ndarray) -> np.ndarray:
     return np.einsum("uv,udk,vek->de", lam, stacked, stacked.conj())
 
 
+def gram_stack(mats: list[np.ndarray]) -> np.ndarray:
+    """G[u, v] = mats[u] mats[v]^*, as an (n, n, d, d) array."""
+    stacked = np.stack(mats)
+    return np.einsum("udk,vek->uvde", stacked, stacked.conj())
+
+
 def _finish(
     direction: str, violations: list[FilterWitness], evaluated: int
 ) -> FilterReport:
@@ -75,43 +81,50 @@ def _finish(
 def pair_filter(
     blocks: BlockFamily, direction: str, slack_tol: float = DEFAULT_SLACK_TOL
 ) -> FilterReport:
-    """Scan all two-atom difference witnesses over ordered and Hermitian index pairs."""
+    """Scan all two-atom difference witnesses over ordered and Hermitian index pairs.
+
+    The atoms are the n² ordered products R_i R_j* followed by the Hermitian
+    sums R_i R_j* + R_j R_i* for i < j, all read off one Gram stack. Witness
+    (a, b) with a < b is atom a minus atom b. Its trace norms come from one
+    batched SVD per anchor a over every later b, so the largest temporary is
+    one row of differences, not all of them.
+    """
     fam_in, fam_out = oriented_families(blocks, direction)
     n = blocks.count
+    rows, cols = np.triu_indices(n, 1)
+    labels = [f"({i},{j})" for i in range(n) for j in range(n)]
+    labels += [f"({i},{j})+({j},{i})" for i, j in zip(rows, cols)]
+    coefficients = np.zeros((len(labels), n, n), dtype=complex)
+    ordered = np.arange(n * n)
+    coefficients[ordered, ordered // n, ordered % n] = 1.0
+    herm = np.arange(n * n, len(labels))
+    coefficients[herm, rows, cols] = coefficients[herm, cols, rows] = 1.0
 
-    atoms: list[tuple[np.ndarray, str]] = []
-    for i in range(n):
-        for j in range(n):
-            lam = np.zeros((n, n), dtype=complex)
-            lam[i, j] = 1.0
-            atoms.append((lam, f"({i},{j})"))
-    for i in range(n):
-        for j in range(i + 1, n):
-            lam = np.zeros((n, n), dtype=complex)
-            lam[i, j] = lam[j, i] = 1.0
-            atoms.append((lam, f"({i},{j})+({j},{i})"))
+    def atoms(fam: list[np.ndarray]) -> np.ndarray:
+        G = gram_stack(fam)
+        ordered_atoms = G.reshape(n * n, *G.shape[2:])
+        return np.concatenate([ordered_atoms, G[rows, cols] + G[cols, rows]])
 
-    mats_in = [combination(fam_in, lam) for lam, _ in atoms]
-    mats_out = [combination(fam_out, lam) for lam, _ in atoms]
-
+    mats_in, mats_out = atoms(fam_in), atoms(fam_out)
     violations: list[FilterWitness] = []
-    evaluated = 0
-    for a in range(len(atoms)):
-        for b in range(a + 1, len(atoms)):
-            evaluated += 1
-            d_in = linalg.trace_norm(mats_in[a] - mats_in[b]) / 2
-            d_out = linalg.trace_norm(mats_out[a] - mats_out[b]) / 2
-            if d_in < d_out - slack_tol:
-                violations.append(
-                    FilterWitness(
-                        coefficients=atoms[a][0] - atoms[b][0],
-                        d_in=d_in,
-                        d_out=d_out,
-                        violated=True,
-                        label=f"pair {atoms[a][1]} - {atoms[b][1]}",
-                    )
+    for a in range(len(labels) - 1):
+        d_in = linalg.trace_norms(mats_in[a] - mats_in[a + 1 :]) / 2
+        d_out = linalg.trace_norms(mats_out[a] - mats_out[a + 1 :]) / 2
+        for k in np.flatnonzero(d_in < d_out - slack_tol):
+            b = a + 1 + int(k)
+            violations.append(
+                FilterWitness(
+                    coefficients=coefficients[a] - coefficients[b],
+                    d_in=float(d_in[k]),
+                    d_out=float(d_out[k]),
+                    violated=True,
+                    label=f"pair {labels[a]} - {labels[b]}",
                 )
-    return _finish(direction, violations, evaluated)
+            )
+    return _finish(direction, violations, len(labels) * (len(labels) - 1) // 2)
+
+
+_RANDOM_FORMS = ("cc*-c~c~*", "cc~*+c~c*", "i(cc~*-c~c*)")
 
 
 def random_witness_filter(
@@ -126,36 +139,42 @@ def random_witness_filter(
     Rank-one coefficients c c* alone are useless here: both sides are then PSD
     with identical traces, so their trace norms agree. Each draw instead takes
     two vectors (c, c~) and cycles through the Hermitian combinations
-    cc* - c~c~*, cc~* + c~c*, and i(cc~* - c~c*).
+    cc* - c~c~*, cc~* + c~c*, and i(cc~* - c~c*). Witness k draws Re c, Im c,
+    Re c~, Im c~ in that order from ``default_rng(seed)``. All ``count``
+    combinations are formed at once from the Gram stacks and their trace
+    norms taken in one batched SVD per side.
     """
     if count < 1:
         raise ValueError(f"witness count must be >= 1, got {count}")
     fam_in, fam_out = oriented_families(blocks, direction)
     n = blocks.count
-    gen = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed).standard_normal((count, 4, n))
+    c = draws[:, 0] + 1j * draws[:, 1]
+    ct = draws[:, 2] + 1j * draws[:, 3]
 
-    violations: list[FilterWitness] = []
-    for k in range(count):
-        c = _crandn(gen, n)
-        ct = _crandn(gen, n)
-        mode = k % 3
-        if mode == 0:
-            lam = np.outer(c, c.conj()) - np.outer(ct, ct.conj())
-            label = f"random #{k} cc*-c~c~*"
-        elif mode == 1:
-            lam = np.outer(c, ct.conj()) + np.outer(ct, c.conj())
-            label = f"random #{k} cc~*+c~c*"
-        else:
-            lam = 1j * (np.outer(c, ct.conj()) - np.outer(ct, c.conj()))
-            label = f"random #{k} i(cc~*-c~c*)"
-        d_in = linalg.trace_norm(combination(fam_in, lam))
-        d_out = linalg.trace_norm(combination(fam_out, lam))
-        if d_in < d_out - slack_tol:
-            violations.append(
-                FilterWitness(
-                    coefficients=lam, d_in=d_in, d_out=d_out, violated=True, label=label
-                )
-            )
+    def outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x[:, :, None] * y.conj()[:, None, :]
+
+    lam = np.empty((count, n, n), dtype=complex)
+    c0, ct0 = c[0::3], ct[0::3]
+    c1, ct1 = c[1::3], ct[1::3]
+    c2, ct2 = c[2::3], ct[2::3]
+    lam[0::3] = outer(c0, c0) - outer(ct0, ct0)
+    lam[1::3] = outer(c1, ct1) + outer(ct1, c1)
+    lam[2::3] = 1j * (outer(c2, ct2) - outer(ct2, c2))
+
+    d_in = linalg.trace_norms(np.tensordot(lam, gram_stack(fam_in), axes=2))
+    d_out = linalg.trace_norms(np.tensordot(lam, gram_stack(fam_out), axes=2))
+    violations = [
+        FilterWitness(
+            coefficients=lam[k].copy(),
+            d_in=float(d_in[k]),
+            d_out=float(d_out[k]),
+            violated=True,
+            label=f"random #{k} {_RANDOM_FORMS[k % 3]}",
+        )
+        for k in np.flatnonzero(d_in < d_out - slack_tol)
+    ]
     return _finish(direction, violations, count)
 
 
@@ -179,7 +198,3 @@ def contractivity_check(
         raise ValueError(f"sigma must be {d_in}x{d_in}, got {sigma.shape}")
     after = sum(F @ sigma @ linalg.dagger(F) for F in kraus)
     return linalg.trace_norm(sigma), linalg.trace_norm(after)
-
-
-def _crandn(gen: np.random.Generator, n: int) -> np.ndarray:
-    return gen.standard_normal(n) + 1j * gen.standard_normal(n)

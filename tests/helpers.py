@@ -32,6 +32,10 @@ def random_kraus(gen: np.random.Generator, out_dim: int, in_dim: int, r: int) ->
     return [V[j * out_dim : (j + 1) * out_dim, :] for j in range(r)]
 
 
+def unit(x: np.ndarray) -> np.ndarray:
+    return x / np.linalg.norm(x)
+
+
 def random_state_vector(gen: np.random.Generator, dim: int) -> np.ndarray:
     x = crandn(gen, dim)
     return x / np.linalg.norm(x)
@@ -82,6 +86,34 @@ def random_product_state(gen, n: int, p: int, q: int):
         t_norms.append(np.linalg.norm(t))
         T[i] = np.outer(s, t)
     return T.ravel(), s_norms, t_norms
+
+
+def schur_yes_decomposition(gen, n: int, p: int, q: int):
+    """Rank-one instance built to satisfy condition (e): G_u = G_v ∘ C with C a Gram matrix."""
+    from degradability import rank_one
+
+    assert q >= n
+    v = [unit(crandn(gen, p)) for _ in range(n)]
+    g = [unit(crandn(gen, 2)) for _ in range(n)]
+    C = np.array([[np.vdot(g[i], g[j]) for j in range(n)] for i in range(n)])
+    G_v = np.array([[np.vdot(v[i], v[j]) for j in range(n)] for i in range(n)])
+    w, W = np.linalg.eigh(G_v * C)
+    M = np.sqrt(np.clip(w, 0, None))[:, None] * W.conj().T
+    u = [np.concatenate([M[:, i], np.zeros(q - n)]) for i in range(n)]
+    d = [float(x) for x in gen.uniform(0.5, 1.5, n)]
+    return rank_one.RankOneDecomposition(u=u, d=d, v=v)
+
+
+def state_from_decomposition(dec):
+    """State with slices d_i v_i u_i^t."""
+    from degradability import states
+
+    n = dec.count
+    p, q = dec.v[0].shape[0], dec.u[0].shape[0]
+    T = np.zeros((n, p, q), dtype=complex)
+    for i in range(n):
+        T[i] = dec.d[i] * np.outer(dec.v[i], dec.u[i])
+    return states.TripartiteState((n, p, q), T.ravel())
 
 
 def depolarizing_lift_state(eps: float):
@@ -183,3 +215,127 @@ def brute_force_feasibility(
                 break
             last_check = best
     return False, best
+
+
+def pair_filter_oracle(blocks, direction: str, slack_tol: float = 1e-8):
+    """Reference pair filter: one witness at a time, two trace norms per pair."""
+    from degradability import filters, linalg
+
+    fam_in, fam_out = filters.oriented_families(blocks, direction)
+    n = blocks.count
+    atoms = []
+    for i in range(n):
+        for j in range(n):
+            lam = np.zeros((n, n), dtype=complex)
+            lam[i, j] = 1.0
+            atoms.append((lam, f"({i},{j})"))
+    for i in range(n):
+        for j in range(i + 1, n):
+            lam = np.zeros((n, n), dtype=complex)
+            lam[i, j] = lam[j, i] = 1.0
+            atoms.append((lam, f"({i},{j})+({j},{i})"))
+    mats_in = [filters.combination(fam_in, lam) for lam, _ in atoms]
+    mats_out = [filters.combination(fam_out, lam) for lam, _ in atoms]
+    violations = []
+    evaluated = 0
+    for a in range(len(atoms)):
+        for b in range(a + 1, len(atoms)):
+            evaluated += 1
+            d_in = linalg.trace_norm(mats_in[a] - mats_in[b]) / 2
+            d_out = linalg.trace_norm(mats_out[a] - mats_out[b]) / 2
+            if d_in < d_out - slack_tol:
+                violations.append(
+                    filters.FilterWitness(
+                        coefficients=atoms[a][0] - atoms[b][0],
+                        d_in=d_in,
+                        d_out=d_out,
+                        violated=True,
+                        label=f"pair {atoms[a][1]} - {atoms[b][1]}",
+                    )
+                )
+    return filters._finish(direction, violations, evaluated)
+
+
+def random_witness_coefficients_oracle(n: int, count: int, seed: int):
+    """Reference λ sequence of the random filter, with labels, drawn one witness at a time."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        c = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        ct = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        mode = k % 3
+        if mode == 0:
+            lam = np.outer(c, c.conj()) - np.outer(ct, ct.conj())
+            label = f"random #{k} cc*-c~c~*"
+        elif mode == 1:
+            lam = np.outer(c, ct.conj()) + np.outer(ct, c.conj())
+            label = f"random #{k} cc~*+c~c*"
+        else:
+            lam = 1j * (np.outer(c, ct.conj()) - np.outer(ct, c.conj()))
+            label = f"random #{k} i(cc~*-c~c*)"
+        out.append((lam, label))
+    return out
+
+
+def random_witness_filter_oracle(
+    blocks, direction: str, count: int, seed: int, slack_tol: float = 1e-8
+):
+    """Reference random filter: two trace norms per witness, in draw order."""
+    from degradability import filters, linalg
+
+    fam_in, fam_out = filters.oriented_families(blocks, direction)
+    violations = []
+    for lam, label in random_witness_coefficients_oracle(blocks.count, count, seed):
+        d_in = linalg.trace_norm(filters.combination(fam_in, lam))
+        d_out = linalg.trace_norm(filters.combination(fam_out, lam))
+        if d_in < d_out - slack_tol:
+            violations.append(
+                filters.FilterWitness(
+                    coefficients=lam, d_in=d_in, d_out=d_out, violated=True, label=label
+                )
+            )
+    return filters._finish(direction, violations, count)
+
+
+def douglas_rachford_oracle(
+    project,
+    residual,
+    start: np.ndarray,
+    *,
+    max_iter: int = 20000,
+    feas_tol: float = 1e-8,
+    psd_tol: float = 1e-9,
+    stall_window: int = 500,
+    stall_tol: float = 1e-12,
+):
+    """Reference Douglas–Rachford loop with two affine projections per step.
+
+    X = P_psd(Z) by eigenvalue clipping, then Z += P_aff(2X - Z) - X, with the
+    engine's stop test and window stall rule. Returns (iterations, converged,
+    stalled, P_aff(X)).
+    """
+
+    def min_eig(M):
+        return float(np.linalg.eigvalsh((M + M.conj().T) / 2)[0])
+
+    Z = np.asarray(start, dtype=complex)
+    converged = stalled = False
+    window_best = prev_window_best = np.inf
+    for it in range(1, max_iter + 1):
+        w, V = np.linalg.eigh((Z + Z.conj().T) / 2)
+        X = (V * np.maximum(w, 0.0)) @ V.conj().T
+        res = residual(X)
+        converged = res <= feas_tol and min_eig(project(X)) >= -psd_tol
+        if converged:
+            break
+        window_best = min(window_best, res)
+        if it % stall_window == 0:
+            if np.isfinite(prev_window_best):
+                improvement = (prev_window_best - window_best) / max(prev_window_best, 1e-300)
+                stalled = improvement < stall_tol
+                if stalled:
+                    break
+            prev_window_best = window_best
+            window_best = np.inf
+        Z = Z + project(2 * X - Z) - X
+    return it, converged, stalled, project(X)

@@ -21,13 +21,16 @@ from degradability.channels import (
 )
 from degradability.feasibility import KrausSet, SolveConfig, decide, verify_channel
 from degradability.filters import contractivity_check
-from helpers import apply_kraus, crandn, random_kraus, rng
+from helpers import (
+    apply_kraus,
+    crandn,
+    random_kraus,
+    rng,
+    schur_yes_decomposition,
+    state_from_decomposition,
+)
 
 SEC4_STALL_BASELINE = 0.0606096
-
-
-def unit(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x)
 
 
 def report(criterion: int, elapsed: float, budget: float, message: str) -> None:
@@ -217,27 +220,6 @@ def test_criterion_5_counterexample_regression() -> None:
     )
 
 
-def _schur_yes_decomposition(gen: np.random.Generator, n: int, p: int, q: int):
-    v = [unit(crandn(gen, p)) for _ in range(n)]
-    g = [unit(crandn(gen, 2)) for _ in range(n)]
-    C = np.array([[np.vdot(g[i], g[j]) for j in range(n)] for i in range(n)])
-    G_v = np.array([[np.vdot(v[i], v[j]) for j in range(n)] for i in range(n)])
-    w, W = np.linalg.eigh(G_v * C)
-    M = np.sqrt(np.clip(w, 0, None))[:, None] * W.conj().T
-    u = [np.concatenate([M[:, i], np.zeros(q - n)]) for i in range(n)]
-    d = [float(x) for x in gen.uniform(0.5, 1.5, n)]
-    return rank_one.RankOneDecomposition(u=u, d=d, v=v)
-
-
-def _state_from_decomposition(dec) -> states.TripartiteState:
-    n = dec.count
-    p, q = dec.v[0].shape[0], dec.u[0].shape[0]
-    T = np.zeros((n, p, q), dtype=complex)
-    for i in range(n):
-        T[i] = dec.d[i] * np.outer(dec.v[i], dec.u[i])
-    return states.TripartiteState((n, p, q), T.ravel())
-
-
 def _random_rank_one_state(gen: np.random.Generator) -> states.TripartiteState:
     n, p, q = (int(gen.integers(2, 4)) for _ in range(3))
     T = np.zeros((n, p, q), dtype=complex)
@@ -258,7 +240,7 @@ def test_criterion_6_rank_one_sdp_oracle_agreement() -> None:
             n = int(gen.integers(2, 4))
             p = int(gen.integers(2, 4))
             q = int(gen.integers(n, 4))
-            state = _state_from_decomposition(_schur_yes_decomposition(gen, n, p, q))
+            state = state_from_decomposition(schur_yes_decomposition(gen, n, p, q))
         state = state.unit()
         blocks = states.extract_blocks(state)
         dec = rank_one.detect_rank_one(blocks)

@@ -10,7 +10,14 @@ from degradability import feasibility as fz
 from degradability import linalg, states
 from degradability.filters import pair_filter, random_witness_filter
 
-from helpers import brute_force_feasibility, crandn, random_kraus, random_state_vector, rng
+from helpers import (
+    brute_force_feasibility,
+    crandn,
+    douglas_rachford_oracle,
+    random_kraus,
+    random_state_vector,
+    rng,
+)
 
 SEC4_STALL_BASELINE = 0.0606096
 # Relative least-squares residual of the full sec4 E->B system (unnormalized fixture).
@@ -30,6 +37,21 @@ def symmetric_slice_state(seed: int, n: int = 2, d: int = 2) -> states.Tripartit
     gen = rng(seed)
     S = [(lambda M: (M + M.T) / 2)(crandn(gen, d, d)) for _ in range(n)]
     return states.TripartiteState((n, d, d), np.stack(S).ravel())
+
+
+def planted_state(seed: int, n: int, p: int, e2: int) -> states.TripartiteState:
+    """chi on A (x) B (x) E' (x) E'' symmetric under B <-> E', so E -> B is feasible."""
+    Z = crandn(np.random.default_rng(seed), n, p, p, e2)
+    chi = (Z + Z.transpose(0, 2, 1, 3)) / 2
+    return states.TripartiteState((n, p, p * e2), chi.reshape(-1))
+
+
+def perturbed_start(system: fz.AffineSystem) -> np.ndarray:
+    """The solver's default start I/out_dim, moved by a seeded Hermitian kick into the PSD cone."""
+    dim = system.in_dim * system.out_dim
+    Z = crandn(np.random.default_rng(11), dim, dim)
+    start = np.eye(dim, dtype=complex) / system.out_dim + 0.05 * (Z + Z.conj().T) / 2
+    return linalg.project_psd(start)
 
 
 class TestSolveConfig:
@@ -143,6 +165,11 @@ class TestBuildConstraints:
         assert np.allclose(system.project(PX), PX, atol=1e-10)
         inner = np.vdot(X - PX, PY - PX).real
         assert abs(inner) <= 1e-10 * (1 + np.linalg.norm(X) * np.linalg.norm(Y))
+        # The engine's fused map gives the same projection and residual.
+        for J in (X, Y, PX):
+            P, r = system.project_and_residual(J)
+            assert np.max(np.abs(P - system.project(J))) <= 1e-13
+            assert abs(r - system.residual(J)) <= 1e-13
         zero = np.zeros((dim, dim), dtype=complex)
         assert system.residual(system.project(zero)) == system.inconsistency
 
@@ -230,12 +257,7 @@ class TestSolveFeasibility:
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
         system = fz.build_constraints(blocks, "EtoB")
-        dim = system.in_dim * system.out_dim
-        gen = np.random.default_rng(11)
-        Z = crandn(gen, dim, dim)
-        start = np.eye(dim, dtype=complex) / system.out_dim + 0.05 * (Z + Z.conj().T) / 2
-        start = linalg.project_psd(start)
-        out = fz.solve_feasibility(system, initial=start)
+        out = fz.solve_feasibility(system, initial=perturbed_start(system))
         assert out.status == "Inconclusive"
         assert out.residual_affine == pytest.approx(SEC4_STALL_BASELINE, rel=0.5)
 
@@ -247,9 +269,7 @@ class TestSolveFeasibility:
         verified = 0
         for n, p, e2 in ((2, 4, 1), (2, 3, 2)):  # Choi 16 and 18
             for seed in range(10):
-                Z = crandn(np.random.default_rng(seed), n, p, p, e2)
-                chi = (Z + Z.transpose(0, 2, 1, 3)) / 2
-                state = states.TripartiteState((n, p, p * e2), chi.reshape(-1))
+                state = planted_state(seed, n, p, e2)
                 system = fz.build_constraints(states.extract_blocks(state), "EtoB")
                 out = fz.solve_feasibility(system, config)
                 if out.status == "Feasible":
@@ -265,6 +285,52 @@ class TestSolveFeasibility:
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
         out = fz.solve_feasibility(fz.build_constraints(blocks, "EtoB"))
         assert out.status != "RuledOut"
+
+
+class TestOneProjectionEngine:
+    """The engine against a loop that evaluates P_aff(2X - Z) directly."""
+
+    @staticmethod
+    def sec4_system() -> fz.AffineSystem:
+        alpha, a = np.sqrt(0.8), np.sqrt(0.65)
+        blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
+        return fz.build_constraints(blocks, "EtoB")
+
+    @pytest.mark.parametrize(
+        "case", ["choi16", "choi18", "example2", "sec4", "sec4 perturbed start"]
+    )
+    def test_matches_two_projection_loop(self, case):
+        if case.startswith("sec4"):
+            system = self.sec4_system()
+        elif case == "example2":
+            ex = states.build_fixture("example2", a=0.5, b=0.5)
+            system = fz.build_constraints(states.extract_blocks(ex), "EtoB")
+        else:
+            n, p, e2 = (2, 4, 1) if case == "choi16" else (2, 3, 2)
+            blocks = states.extract_blocks(planted_state(0, n, p, e2))
+            system = fz.build_constraints(blocks, "EtoB")
+        if case == "sec4 perturbed start":
+            start = perturbed_start(system)
+        else:
+            dim = system.in_dim * system.out_dim
+            start = np.eye(dim, dtype=complex) / system.out_dim
+        calls = 0
+
+        def counted(J: np.ndarray) -> tuple[np.ndarray, float]:
+            nonlocal calls
+            calls += 1
+            return system.project_and_residual(J)
+
+        result = linalg.alternating_projections(counted, start=start)
+        iterations, converged, stalled, affine_point = douglas_rachford_oracle(
+            system.project, system.residual, start
+        )
+        assert (result.iterations, result.converged, result.stalled) == (
+            iterations, converged, stalled
+        )
+        assert np.max(np.abs(result.affine_point - affine_point)) <= 1e-9
+        assert calls == result.iterations + 1
+        assert result.converged == (not case.startswith("sec4"))
 
 
 class TestExtractKraus:

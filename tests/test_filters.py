@@ -12,9 +12,14 @@ from helpers import (
     apply_kraus,
     crandn,
     depolarizing_lift_state,
+    pair_filter_oracle,
     random_kraus,
     random_state_vector,
+    random_witness_coefficients_oracle,
+    random_witness_filter_oracle,
     rng,
+    schur_yes_decomposition,
+    state_from_decomposition,
 )
 
 
@@ -140,6 +145,70 @@ class TestRandomWitnessFilter:
         d_R = linalg.trace_norm(filters.combination(blocks.R, lam))
         d_S = linalg.trace_norm(filters.combination(blocks.S, lam))
         assert d_R == pytest.approx(d_S, abs=1e-9)
+
+
+def assert_same_report(batched: filters.FilterReport, loop: filters.FilterReport) -> None:
+    assert batched.direction == loop.direction
+    assert batched.verdict == loop.verdict
+    assert batched.evaluated == loop.evaluated
+    assert [w.label for w in batched.witnesses] == [w.label for w in loop.witnesses]
+    for b, w in zip(batched.witnesses, loop.witnesses):
+        assert np.array_equal(b.coefficients, w.coefficients)
+        assert b.d_in == pytest.approx(w.d_in, rel=1e-12, abs=1e-15)
+        assert b.d_out == pytest.approx(w.d_out, rel=1e-12, abs=1e-15)
+
+
+def assert_filters_match_loops(state: states.TripartiteState, seed: int) -> None:
+    blocks = states.extract_blocks(state.unit())
+    for direction in filters.DIRECTIONS:
+        assert_same_report(
+            filters.pair_filter(blocks, direction), pair_filter_oracle(blocks, direction)
+        )
+        assert_same_report(
+            filters.random_witness_filter(blocks, direction, 60, seed),
+            random_witness_filter_oracle(blocks, direction, 60, seed),
+        )
+
+
+class TestBatchedFiltersMatchLoops:
+    """The batched filters against one-witness-at-a-time loops."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_generic_states(self, n, p, q, seed):
+        gen = rng(seed)
+        state = states.TripartiteState((n, p, q), random_state_vector(gen, n * p * q))
+        assert_filters_match_loops(state, seed % 1000)
+
+    def test_generic_8_3_3(self):
+        state = states.TripartiteState((8, 3, 3), random_state_vector(rng(3), 72))
+        assert filters.pair_filter(states.extract_blocks(state), "EtoB").violated
+        assert_filters_match_loops(state, 0)
+
+    def test_schur_8_2_8(self):
+        # E -> B holds here, while every B -> E pair witness is violated.
+        state = state_from_decomposition(schur_yes_decomposition(rng(8), 8, 2, 8))
+        blocks = states.extract_blocks(state.unit())
+        assert not filters.pair_filter(blocks, "EtoB").violated
+        assert len(filters.pair_filter(blocks, "BtoE").witnesses) == 4186
+        assert_filters_match_loops(state, 0)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_random_coefficients_follow_the_draw_order(self, seed):
+        # A slack of -inf reports every witness, so each drawn λ is visible.
+        state = states.TripartiteState((8, 3, 3), random_state_vector(rng(3), 72))
+        blocks = states.extract_blocks(state)
+        report = filters.random_witness_filter(blocks, "EtoB", 200, seed, -np.inf)
+        drawn = {w.label: w.coefficients for w in report.witnesses}
+        expected = random_witness_coefficients_oracle(blocks.count, 200, seed)
+        assert len(drawn) == len(expected) == 200
+        for lam, label in expected:
+            assert np.array_equal(drawn[label], lam)
 
 
 class TestWitnessProperties:

@@ -277,7 +277,7 @@ def test_converged_affine_point_satisfies_the_affine_set():
     system = feasibility.build_constraints(states.extract_blocks(state), "EtoB")
     dim = system.in_dim * system.out_dim
     res = linalg.alternating_projections(
-        system.project, system.residual, np.eye(dim, dtype=complex), psd_tol=psd_tol
+        system.project_and_residual, start=np.eye(dim, dtype=complex), psd_tol=psd_tol
     )
     assert res.converged
     assert system.residual(res.affine_point) <= 1e-12

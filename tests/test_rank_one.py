@@ -8,34 +8,15 @@ from hypothesis import strategies as st
 
 from degradability import linalg, rank_one, states
 
-from helpers import block_map_error, crandn, random_product_state, rng
-
-
-def unit(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x)
-
-
-def schur_yes_decomposition(gen, n: int, p: int, q: int) -> rank_one.RankOneDecomposition:
-    """Instance built to satisfy condition (e): G_u = G_v ∘ C with C a Gram matrix."""
-    assert q >= n
-    v = [unit(crandn(gen, p)) for _ in range(n)]
-    g = [unit(crandn(gen, 2)) for _ in range(n)]
-    C = np.array([[np.vdot(g[i], g[j]) for j in range(n)] for i in range(n)])
-    G_v = np.array([[np.vdot(v[i], v[j]) for j in range(n)] for i in range(n)])
-    w, W = np.linalg.eigh(G_v * C)
-    M = np.sqrt(np.clip(w, 0, None))[:, None] * W.conj().T
-    u = [np.concatenate([M[:, i], np.zeros(q - n)]) for i in range(n)]
-    d = [float(x) for x in gen.uniform(0.5, 1.5, n)]
-    return rank_one.RankOneDecomposition(u=u, d=d, v=v)
-
-
-def state_from_decomposition(dec: rank_one.RankOneDecomposition) -> states.TripartiteState:
-    n = dec.count
-    p, q = dec.v[0].shape[0], dec.u[0].shape[0]
-    T = np.zeros((n, p, q), dtype=complex)
-    for i in range(n):
-        T[i] = dec.d[i] * np.outer(dec.v[i], dec.u[i])
-    return states.TripartiteState((n, p, q), T.ravel())
+from helpers import (
+    block_map_error,
+    crandn,
+    random_product_state,
+    rng,
+    schur_yes_decomposition,
+    state_from_decomposition,
+    unit,
+)
 
 
 class TestDetect:
