@@ -3,10 +3,11 @@
 The existence of a channel Φ with Φ(R_uR_v*) = S_uS_v* for all u, v is encoded
 as an affine system on the Hermitian Choi matrix J = Σ_kl E_kl ⊗ Φ(E_kl)
 (input index slow, output fast) intersected with the PSD cone, and searched by
-Douglas–Rachford splitting between the two sets. Kraus certificates are taken
-from the affine projection of the last cone iterate, which satisfies the affine
-constraints, trace preservation included, exactly. The solver never claims
-infeasibility; only trace-norm filter witnesses rule out.
+Douglas–Rachford splitting between the two sets, with a Kraus-form
+Gauss–Newton finish for low-rank solutions. Kraus certificates are taken from
+the affine projection of the point the run stops on, which satisfies the
+affine constraints, trace preservation included, exactly. The solver never
+claims infeasibility; only trace-norm filter witnesses rule out.
 """
 from __future__ import annotations
 
@@ -26,6 +27,17 @@ from .filters import (
     random_witness_filter,
 )
 from .states import BlockFamily, TripartiteState, extract_blocks
+
+# Most Gauss–Newton steps one Kraus-form finish takes (see AffineSystem.kraus_newton).
+NEWTON_STEPS = 12
+# Outcome detail for each way a projection run stops (linalg.ProjectionResult.stop).
+_STOP_DETAIL = {
+    "converged": "converged in {} iterations",
+    "affine_psd": "affine point PSD after {} iterations",
+    "kraus_newton": "Kraus-form Gauss-Newton finish at iteration {}",
+    "stalled": "projections stalled after {} iterations",
+    "budget": "projections iteration budget exhausted after {} iterations",
+}
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,8 @@ class AffineSystem:
 
     ``project`` and ``residual`` state the two maps on their own;
     ``project_and_residual`` is the engine's fused form of both.
+    ``kraus_newton`` is the engine's finish: it polishes a low-rank factor
+    J = K K* onto the set by Gauss–Newton steps on K.
     """
 
     direction: str
@@ -117,7 +131,9 @@ class AffineSystem:
         """``project(J)`` and ``residual(J)`` of a Hermitian J from one realignment.
 
         J is taken as Hermitian, as the engine's iterates are up to rounding,
-        and the result is Hermitian up to rounding; neither is re-symmetrized.
+        and is not re-symmetrized. The result is, because the pair step's
+        rounding breaks Hermiticity in proportion to the fitted images, which
+        can be large when the sources are nearly dependent.
         The sources lie in span Q, so the pair residual is (sources·Q*)(Q·Jm)
         - images and reuses Q·Jm. Because (I - Q*Q) Q* = 0, the trace
         correction after the pair step is -(I - Q*Q)/o applied to the trace
@@ -139,7 +155,78 @@ class AffineSystem:
         Jm += Q_h @ (self.fitted - QJm)
         diag -= (corrector @ trace)[:, None]
         X = Jm.reshape(i, i, o, o).transpose(0, 2, 1, 3).reshape(i * o, i * o)
+        X += linalg.dagger(X)
+        X *= 0.5
         return X, float(np.sqrt(sq) * inv_scale)
+
+    def kraus_newton(self, K: np.ndarray) -> np.ndarray | None:
+        """Polish J = K K* onto the affine set by Gauss–Newton steps on K; None if no gain.
+
+        The columns of K are the Kraus operators F_j in Choi layout, and the
+        residual is the weighted pair equations Σ_j F_j M_in F_j* - M_out (the
+        ``sources`` and ``images`` rows) together with Σ_j F_j* F_j - I. This
+        low-rank factorization of the feasibility problem (Burer & Monteiro,
+        Math. Program. 95, 2003) is only tried while the r·in·out complex
+        unknowns do not outnumber the complex equations; at higher rank the
+        engine's PSD-affine-point stop covers the interior.
+
+        Each step solves the real normal equations of the linearized residual
+        for the least-squares step. A relative shift of 1e-12 on their
+        diagonal keeps them solvable along the r² directions that only mix
+        the Kraus operators unitarily, which leave K K* fixed. At most
+        ``NEWTON_STEPS`` steps run; a step that does not lower the residual
+        norm is dropped and ends the polish, and one that does not halve it
+        ends the polish after it is taken. The result is only a candidate: the
+        engine accepts it through the same test as any iterate.
+        """
+        i, o = self.in_dim, self.out_dim
+        r = K.shape[1]
+        if r == 0 or r * i * o > self.images.size + i * i:
+            return None
+        M = self.sources.reshape(-1, i, i)
+        N = self.images.reshape(-1, o, o)
+        eye_i, eye_o = np.eye(i), np.eye(o)
+
+        def residual(K: np.ndarray) -> tuple:
+            Kr = K.reshape(i, o, r)  # Kr[k, a, j] = F_j[a, k]
+            K2 = Kr.reshape(i, o * r)
+            U = np.einsum("skl,lbj->skbj", M, Kr.conj())
+            res = np.concatenate([
+                (np.einsum("kaj,skbj->sab", Kr, U) - N).reshape(-1),
+                (K2 @ linalg.dagger(K2) - eye_i).reshape(-1),
+            ])
+            return K, Kr, U, res, float(np.linalg.norm(res))
+
+        start = current = residual(K)
+        for _ in range(NEWTON_STEPS):
+            K, Kr, U, res, norm = current
+            # d res = G dK + H conj(dK) over the unknowns Kr[k, a, j]; with
+            # dK = x + i y that is (G + H) x + i (G - H) y, whose real normal
+            # equations are Re(C* C) and Re(C* res) for C = [G + H, i (G - H)].
+            V = np.einsum("skl,kaj->slaj", M, Kr)
+            G = np.concatenate([
+                np.einsum("ac,skbj->sabkcj", eye_o, U).reshape(-1, K.size),
+                np.einsum("km,lcj->klmcj", eye_i, Kr.conj()).reshape(-1, K.size),
+            ])
+            H = np.concatenate([
+                np.einsum("bc,slaj->sablcj", eye_o, V).reshape(-1, K.size),
+                np.einsum("lm,kcj->klmcj", eye_i, Kr).reshape(-1, K.size),
+            ])
+            C = np.concatenate([G + H, 1j * (G - H)], axis=1)
+            C_h = linalg.dagger(C)
+            normal = (C_h @ C).real
+            normal.flat[:: len(normal) + 1] += 1e-12 * np.trace(normal) / len(normal)
+            delta = np.linalg.solve(normal, -(C_h @ res).real)
+            trial = residual(K + (delta[: K.size] + 1j * delta[K.size :]).reshape(K.shape))
+            if not trial[-1] < norm:
+                break
+            current = trial
+            if not trial[-1] < norm / 2:
+                break
+        if current is start:
+            return None
+        K = current[0]
+        return K @ linalg.dagger(K)
 
     def residual(self, J: np.ndarray) -> float:
         """Weighted violation by the Hermitian part of J, relative to 1 + ‖right-hand sides‖."""
@@ -320,12 +407,17 @@ def solve_feasibility(
 ) -> FeasibilityOutcome:
     """Douglas–Rachford splitting between the affine set and the PSD cone.
 
-    Feasible outcomes carry the Kraus certificate extracted from the affine
-    point P_aff(X) of the converged cone iterate X. P_aff(X) satisfies the
-    affine constraints exactly, so the certificate's completeness defect comes
-    only from the near-zero eigenvalues that extraction drops. The solver never
-    returns RuledOut on its own; a dependency witness recorded on the system is
-    the only way this stage rules out.
+    The run stops at the first certifiable point: a cone iterate X within
+    ``feas_tol`` of the affine set whose projection P_aff(X) is PSD, a PSD
+    P_aff(X) on a consistent affine set, or a K K* polished by
+    ``AffineSystem.kraus_newton`` (tried at iterations 32, 64, 128, ...) that
+    passes the first test. Feasible outcomes carry the Kraus certificate
+    extracted from that affine point, which satisfies the affine constraints,
+    trace preservation included, exactly, so the certificate's completeness
+    defect comes only from the near-zero eigenvalues that extraction drops.
+    The ``detail`` names the stop. The solver never returns RuledOut on its
+    own; a dependency witness recorded on the system is the only way this
+    stage rules out.
     """
     if system.dependency_witness is not None:
         return FeasibilityOutcome(
@@ -344,6 +436,7 @@ def solve_feasibility(
         psd_tol=config.psd_tol,
         stall_window=config.stall_window,
         stall_tol=config.stall_tol,
+        finish=system.kraus_newton,
     )
     def wrap(X: np.ndarray) -> ChoiMatrix:
         return ChoiMatrix(
@@ -352,8 +445,8 @@ def solve_feasibility(
             out_dim=system.out_dim,
         )
 
+    detail = _STOP_DETAIL[result.stop].format(result.iterations)
     if not result.converged:
-        reason = "stalled" if result.stalled else "iteration budget exhausted"
         return FeasibilityOutcome(
             status="Inconclusive",
             stage="sdp",
@@ -361,7 +454,7 @@ def solve_feasibility(
             residual_psd=result.residual_psd,
             iterations=result.iterations,
             choi=wrap(result.point),
-            detail=f"projections {reason} after {result.iterations} iterations",
+            detail=detail,
         )
     J = wrap(result.affine_point)
     kraus = extract_kraus(J, config.rank_tol)
@@ -373,7 +466,7 @@ def solve_feasibility(
         iterations=result.iterations,
         certificate=kraus,
         choi=J,
-        detail=f"converged in {result.iterations} iterations",
+        detail=detail,
     )
 
 

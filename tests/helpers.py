@@ -127,6 +127,15 @@ def depolarizing_lift_state(eps: float):
     return states.TripartiteState((2, 2, 4), np.stack([S0, S1]).ravel())
 
 
+def planted_state(seed: int, n: int, p: int, e2: int):
+    """chi on A (x) B (x) E' (x) E'' symmetric under B <-> E', so E -> B is feasible."""
+    from degradability import states
+
+    Z = crandn(np.random.default_rng(seed), n, p, p, e2)
+    chi = (Z + Z.transpose(0, 2, 1, 3)) / 2
+    return states.TripartiteState((n, p, p * e2), chi.reshape(-1))
+
+
 def brute_force_feasibility(
     blocks, direction: str, max_iter: int = 200000
 ) -> tuple[bool, float]:
@@ -311,21 +320,33 @@ def douglas_rachford_oracle(
     """Reference Douglas–Rachford loop with two affine projections per step.
 
     X = P_psd(Z) by eigenvalue clipping, then Z += P_aff(2X - Z) - X, with the
-    engine's stop test and window stall rule. Returns (iterations, converged,
-    stalled, P_aff(X)).
+    engine's stop rule and window stall rule: stop when P_aff(X) is PSD to
+    ``psd_tol`` and X has residual at most ``feas_tol``, or, at the
+    iterations the engine's schedule tests it, when P_aff(X) is PSD and has
+    residual at most ``feas_tol``.
+    Returns (iterations, converged, stalled, P_aff(X), floor_needed), where
+    ``floor_needed`` says whether some PSD P_aff(X) failed the first test,
+    so that the engine had to evaluate the affine set's residual floor.
     """
+    from degradability.linalg import PSD_CHECK_DENSE, PSD_CHECK_EVERY
 
     def min_eig(M):
         return float(np.linalg.eigvalsh((M + M.conj().T) / 2)[0])
 
     Z = np.asarray(start, dtype=complex)
-    converged = stalled = False
+    converged = stalled = floor_needed = False
     window_best = prev_window_best = np.inf
     for it in range(1, max_iter + 1):
         w, V = np.linalg.eigh((Z + Z.conj().T) / 2)
         X = (V * np.maximum(w, 0.0)) @ V.conj().T
         res = residual(X)
-        converged = res <= feas_tol and min_eig(project(X)) >= -psd_tol
+        Y = project(X)
+        psd_check = it <= PSD_CHECK_DENSE or it % PSD_CHECK_EVERY == 0
+        if min_eig(Y) >= -psd_tol:
+            converged = res <= feas_tol
+            if not converged and psd_check:
+                floor_needed = True
+                converged = residual(Y) <= feas_tol
         if converged:
             break
         window_best = min(window_best, res)
@@ -338,4 +359,4 @@ def douglas_rachford_oracle(
             prev_window_best = window_best
             window_best = np.inf
         Z = Z + project(2 * X - Z) - X
-    return it, converged, stalled, project(X)
+    return it, converged, stalled, project(X), floor_needed

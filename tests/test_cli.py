@@ -15,6 +15,7 @@ from degradability import jsonio
 from degradability.channels import QuantumChannel, depolarizing, epsilon_scan
 from degradability.cli import RunConfig, main
 from degradability.feasibility import KrausSet, decide, verify_channel
+from degradability.linalg import COMPLETENESS_TOL
 from degradability.states import TripartiteState, build_fixture
 from helpers import crandn, random_state_vector, rng
 
@@ -171,7 +172,9 @@ class TestAnalyzeState:
         assert report["config"]["rank_tol"] == 1e-10
 
     def test_inconclusive_exits_two_and_reports_stall(self, tmp_path: Path, capsys) -> None:
-        path = write_state(tmp_path / "s.json", random_state(0))
+        # After one iteration the affine point of this (2,2,3) state is not
+        # PSD, so the run ends on its budget without a certificate.
+        path = write_state(tmp_path / "s.json", random_state(1, (2, 2, 3)))
         rc = main(
             ["analyze-state", str(path), "--direction", "EtoB", "--max-iter", "1", "--witnesses", "0"]
         )
@@ -179,6 +182,23 @@ class TestAnalyzeState:
         assert rc == 2
         assert "Inconclusive" in out
         assert "stall residual" in out
+
+    def test_psd_affine_point_certifies_at_one_iteration(self, tmp_path: Path, capsys) -> None:
+        # The affine projection of the first cone iterate is already PSD here,
+        # so one iteration yields a certificate that re-verifies from the JSON.
+        state = random_state(0)
+        path = write_state(tmp_path / "s.json", state)
+        rc = main(
+            ["analyze-state", str(path), "--direction", "EtoB", "--max-iter", "1",
+             "--witnesses", "0", "--format", "json"]
+        )
+        result = json.loads(capsys.readouterr().out)["results"]["EtoB"]
+        assert rc == 0
+        assert (result["status"], result["stage"], result["iterations"]) == ("Feasible", "sdp", 1)
+        assert result["detail"].startswith("affine point PSD after 1 iterations")
+        cert = jsonio.kraus_from_obj(result["certificate"])
+        assert verify_channel(cert, state.unit(), "EtoB") <= 1e-7
+        assert cert.completeness_defect() <= COMPLETENESS_TOL
 
     def test_json_reports_are_byte_identical(self, tmp_path: Path) -> None:
         path = write_state(tmp_path / "s.json", random_state(1))

@@ -14,6 +14,7 @@ from helpers import (
     brute_force_feasibility,
     crandn,
     douglas_rachford_oracle,
+    planted_state,
     random_kraus,
     random_state_vector,
     rng,
@@ -37,13 +38,6 @@ def symmetric_slice_state(seed: int, n: int = 2, d: int = 2) -> states.Tripartit
     gen = rng(seed)
     S = [(lambda M: (M + M.T) / 2)(crandn(gen, d, d)) for _ in range(n)]
     return states.TripartiteState((n, d, d), np.stack(S).ravel())
-
-
-def planted_state(seed: int, n: int, p: int, e2: int) -> states.TripartiteState:
-    """chi on A (x) B (x) E' (x) E'' symmetric under B <-> E', so E -> B is feasible."""
-    Z = crandn(np.random.default_rng(seed), n, p, p, e2)
-    chi = (Z + Z.transpose(0, 2, 1, 3)) / 2
-    return states.TripartiteState((n, p, p * e2), chi.reshape(-1))
 
 
 def perturbed_start(system: fz.AffineSystem) -> np.ndarray:
@@ -280,6 +274,54 @@ class TestSolveFeasibility:
                     )[0]
         assert verified >= 19
 
+    @pytest.mark.parametrize("seed", [4, 20, 79, 154])
+    def test_choi18_plateaus_now_certify(self, seed):
+        # At 1000 iterations the window stall rule used to end these planted
+        # Choi-18 runs on a plateau; they now stop on a PSD affine point or a
+        # Kraus-form finish well before it applies.
+        config = fz.SolveConfig(max_iter=1000)
+        state = planted_state(seed, 2, 3, 2)
+        out = fz.solve_feasibility(fz.build_constraints(states.extract_blocks(state), "EtoB"), config)
+        assert out.status == "Feasible"
+        assert out.iterations < config.stall_window
+        ok, note = fz._check_certificate(out.certificate, state, "EtoB", config)
+        assert ok, note
+
+    @pytest.mark.parametrize(
+        "case, stop, detail",
+        [
+            ("choi16", "kraus_newton", "Kraus-form Gauss-Newton finish at iteration 32"),
+            ("choi18", "affine_psd", "affine point PSD after 4 iterations"),
+            ("bell_lift", "converged", "converged in 1 iterations"),
+            ("sec4", "stalled", "projections stalled after 1000 iterations"),
+            ("sec4 budget", "budget", "projections iteration budget exhausted after 200 iterations"),
+        ],
+    )
+    def test_detail_reads_the_stop_reason(self, case, stop, detail):
+        config = fz.SolveConfig(max_iter=200 if case == "sec4 budget" else 1000)
+        if case.startswith("sec4"):
+            system = TestOneProjectionEngine.sec4_system()
+        elif case == "bell_lift":
+            blocks = states.extract_blocks(states.build_fixture("bell_lift"))
+            system = fz.build_constraints(blocks, "BtoE")
+        else:
+            n, p, e2 = (2, 4, 1) if case == "choi16" else (2, 3, 2)
+            seed = 3 if case == "choi16" else 0
+            system = fz.build_constraints(states.extract_blocks(planted_state(seed, n, p, e2)), "EtoB")
+        dim = system.in_dim * system.out_dim
+        result = linalg.alternating_projections(
+            system.project_and_residual,
+            start=np.eye(dim, dtype=complex) / system.out_dim,
+            max_iter=config.max_iter,
+            finish=system.kraus_newton,
+        )
+        assert result.stop == stop
+        assert result.converged == (stop in linalg.CERTIFYING_STOPS)
+        assert result.stalled == (stop == "stalled")
+        out = fz.solve_feasibility(system, config)
+        assert out.detail == detail
+        assert out.status == ("Feasible" if result.converged else "Inconclusive")
+
     def test_solver_never_rules_out_without_witness(self):
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
@@ -322,15 +364,89 @@ class TestOneProjectionEngine:
             return system.project_and_residual(J)
 
         result = linalg.alternating_projections(counted, start=start)
-        iterations, converged, stalled, affine_point = douglas_rachford_oracle(
+        iterations, converged, stalled, affine_point, floor_needed = douglas_rachford_oracle(
             system.project, system.residual, start
         )
         assert (result.iterations, result.converged, result.stalled) == (
             iterations, converged, stalled
         )
         assert np.max(np.abs(result.affine_point - affine_point)) <= 1e-9
-        assert calls == result.iterations + 1
+        # One evaluation per iteration plus the start's, and the floor at most once.
+        assert calls == result.iterations + 1 + floor_needed
         assert result.converged == (not case.startswith("sec4"))
+
+    def test_bent_finish_is_never_accepted(self):
+        # A finish that scales its polished K K* by 1.01 breaks trace
+        # preservation by 1 %; the engine must reject every such candidate and
+        # end exactly as it does without a finish.
+        system = fz.build_constraints(states.extract_blocks(planted_state(3, 2, 4, 1)), "EtoB")
+        dim = system.in_dim * system.out_dim
+        start = np.eye(dim, dtype=complex) / system.out_dim
+        offered = []
+
+        def bent(K: np.ndarray) -> np.ndarray | None:
+            J = system.kraus_newton(K)
+            if J is not None:
+                offered.append(system.residual(J))
+                J = 1.01 * J
+            return J
+
+        result = linalg.alternating_projections(
+            system.project_and_residual, start=start, max_iter=1000, finish=bent
+        )
+        plain = linalg.alternating_projections(
+            system.project_and_residual, start=start, max_iter=1000
+        )
+        # The unbent candidate at iteration 32 would have certified.
+        assert offered and offered[0] <= 1e-12
+        assert result.stop != "kraus_newton"
+        assert (result.iterations, result.stop) == (plain.iterations, plain.stop)
+        assert np.array_equal(result.affine_point, plain.affine_point)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_sec4_floor_unchanged_with_finish(self, perturbed):
+        system = self.sec4_system()
+        dim = system.in_dim * system.out_dim
+        start = perturbed_start(system) if perturbed else np.eye(dim, dtype=complex) / system.out_dim
+        calls = 0
+
+        def finish(K: np.ndarray) -> np.ndarray | None:
+            nonlocal calls
+            calls += 1
+            return system.kraus_newton(K)
+
+        with_finish = linalg.alternating_projections(
+            system.project_and_residual, start=start, finish=finish
+        )
+        without = linalg.alternating_projections(system.project_and_residual, start=start)
+        assert calls > 0
+        assert with_finish.stop == without.stop == "stalled"
+        assert with_finish.iterations == without.iterations
+        assert with_finish.residual_affine == without.residual_affine
+        if not perturbed:
+            assert with_finish.residual_affine == pytest.approx(SEC4_LINEAR_FLOOR, rel=1e-9)
+        assert (
+            0.5 * SEC4_STALL_BASELINE <= with_finish.residual_affine <= 1.5 * SEC4_STALL_BASELINE
+        )
+
+
+class TestKrausNewton:
+    def test_polishes_a_perturbed_identity_onto_the_affine_set(self):
+        # Every slice of a planted (2,4,1) state is symmetric, so the identity
+        # channel, a rank-one Choi matrix, solves the system exactly.
+        system = fz.build_constraints(states.extract_blocks(planted_state(0, 2, 4, 1)), "EtoB")
+        K = np.eye(4, dtype=complex).reshape(-1, 1)
+        assert system.residual(K @ K.conj().T) <= 1e-15
+        bent = K + 1e-2 * crandn(rng(1), 16, 1)
+        assert system.residual(bent @ bent.conj().T) > 1e-2
+        J = system.kraus_newton(bent)
+        assert system.residual(J) <= 1e-14
+        assert linalg.min_eig(system.project(J)) >= -1e-12
+
+    def test_declines_when_unknowns_outnumber_equations(self):
+        system = fz.build_constraints(states.extract_blocks(planted_state(0, 2, 4, 1)), "EtoB")
+        assert system.kraus_newton(np.eye(16, dtype=complex)) is None
+        assert system.kraus_newton(np.zeros((16, 0), dtype=complex)) is None
 
 
 class TestExtractKraus:

@@ -231,6 +231,18 @@ def test_reduce_rows_consistent_and_inconsistent():
     assert np.allclose(red_c.Q @ X, red_c.c, atol=1e-12)
 
 
+def test_psd_factor_keeps_exactly_the_positive_eigenpairs():
+    gen = rng(4)
+    V = random_unitary(gen, 6)
+    w = np.array([-2.0, -0.5, -1e-3, 0.3, 1.0, 4.0])
+    M = (V * w) @ V.conj().T
+    K = linalg.psd_factor(M)
+    assert K.shape == (6, 3)
+    clipped = (V * np.maximum(w, 0.0)) @ V.conj().T
+    assert np.max(np.abs(K @ K.conj().T - clipped)) <= 1e-12
+    assert np.max(np.abs(linalg.project_psd(M) - clipped)) <= 1e-12
+
+
 def test_alternating_projections_feasible_correlation():
     # nearest-correlation style completion: fix diagonal, solve within PSD cone
     target = np.array(
@@ -243,7 +255,10 @@ def test_alternating_projections_feasible_correlation():
     assert res.converged
     assert res.residual_affine <= 1e-8
     assert linalg.min_eig(res.point) >= -1e-8
-    assert abs(res.point[0, 1] - 0.9) < 1e-7
+    # The completion is the affine point: the run may stop on it while the
+    # cone iterate is still off the set (the affine_psd stop).
+    assert linalg.min_eig(res.affine_point) >= -1e-8
+    assert abs(res.affine_point[0, 1] - 0.9) < 1e-7
 
 
 def test_alternating_projections_infeasible_stalls():
