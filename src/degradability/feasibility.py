@@ -11,7 +11,6 @@ claims infeasibility; only trace-norm filter witnesses rule out.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -509,14 +508,25 @@ def verify_channel(
 def decide(
     state: TripartiteState, direction: str, config: SolveConfig = SolveConfig()
 ) -> FeasibilityOutcome:
-    """Full pipeline: filters, rank-one fast path, then Choi feasibility.
+    """Full pipeline: rank-one fast path, filters, then Choi feasibility.
 
-    The state is normalized first so verdicts are scale invariant. Returns the
-    first conclusive outcome; Feasible always carries a Kraus set that
-    re-verifies on the normalized state within verify_tol.
+    The state is normalized first so verdicts are scale invariant. When every
+    R_i has rank one, condition (e) runs first: it settles Yes exactly with a
+    verified Kraus set, and a No refuted by one pair with a violated pair
+    witness (stage ``rank_one``). Any other rank-one result, and every family
+    that is not rank one, goes on to the pair filter, the random filter and
+    then the Choi feasibility stage. Returns the first conclusive outcome;
+    Feasible always carries a Kraus set that re-verifies on the normalized
+    state within verify_tol.
     """
     state = state.unit()
     blocks = extract_blocks(state, config.rank_tol)
+
+    dec = rank_one.detect_rank_one(blocks, config.rank_tol)
+    if dec is not None:
+        outcome = _decide_rank_one(blocks, dec, direction, config, state)
+        if outcome is not None:
+            return outcome
 
     report = pair_filter(blocks, direction, config.slack_tol)
     if report.violated:
@@ -537,12 +547,6 @@ def decide(
                 filter_witness=report.witnesses[0],
                 detail=f"random filter: {len(report.witnesses)} violating witnesses",
             )
-
-    dec = rank_one.detect_rank_one(blocks, config.rank_tol)
-    if dec is not None:
-        outcome = _decide_rank_one(blocks, dec, direction, config, state)
-        if outcome is not None:
-            return outcome
 
     system = build_constraints(blocks, direction, slack_tol=config.slack_tol)
     outcome = solve_feasibility(system, config)
@@ -577,7 +581,7 @@ def _decide_rank_one(
     config: SolveConfig,
     state: TripartiteState,
 ) -> FeasibilityOutcome | None:
-    """Resolve via the rank-one correlation conditions; None defers to the SDP stage."""
+    """Resolve via the rank-one correlation conditions; None defers to the filters."""
     oriented = dec if direction == "EtoB" else dec.swapped()
     verdict, cert, reason = rank_one.check_condition_e(oriented)
     if verdict == "Yes":
@@ -592,8 +596,8 @@ def _decide_rank_one(
                 detail=f"condition (e): {reason}; {note}",
             )
         return None
-    if verdict == "No":
-        witness = _rank_one_witness(blocks, direction, reason, config.slack_tol)
+    if isinstance(cert, rank_one.RankOneRefutation):
+        witness = _rank_one_witness(blocks, direction, cert, config.slack_tol)
         if witness is not None:
             return FeasibilityOutcome(
                 status="RuledOut",
@@ -601,18 +605,17 @@ def _decide_rank_one(
                 filter_witness=witness,
                 detail=f"condition (e) fails: {reason}",
             )
-        return None
     return None
 
 
 def _rank_one_witness(
-    blocks: BlockFamily, direction: str, reason: str, slack_tol: float
+    blocks: BlockFamily,
+    direction: str,
+    refutation: rank_one.RankOneRefutation,
+    slack_tol: float,
 ) -> FilterWitness | None:
     """Violated pair witness matching a condition-(e) refutation, if one exists."""
-    m = re.search(r"\((\d+),(\d+)\)", reason)
-    if m is None:
-        return None
-    i, j = int(m.group(1)), int(m.group(2))
+    i, j = refutation.i, refutation.j
     fam_in, fam_out = oriented_families(blocks, direction)
     n = len(fam_in)
     for lam, label in (

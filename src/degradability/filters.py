@@ -7,7 +7,9 @@ therefore rules the channel out. Passing all witnesses certifies nothing.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +18,8 @@ from .states import BlockFamily
 
 DIRECTIONS = ("EtoB", "BtoE")
 DEFAULT_SLACK_TOL = 1e-8
+# Pair witnesses per batched SVD; bounds the difference stacks at large n.
+PAIR_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -78,27 +82,69 @@ def _finish(
     )
 
 
+class _PairIndex(NamedTuple):
+    """The canonical pair witnesses of an n-block family, shared by every call.
+
+    ``first`` and ``second`` index atoms a < b of each kept witness; ``labels``
+    name the witnesses and ``label_rank`` is each label's place in string
+    order. ``atom_coefficients`` holds the λ of every atom. All arrays are
+    read-only.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    labels: tuple[str, ...]
+    label_rank: np.ndarray
+    atom_coefficients: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_index(n: int) -> _PairIndex:
+    rows, cols = np.triu_indices(n, 1)
+    atom_labels = [f"({i},{j})" for i in range(n) for j in range(n)]
+    atom_labels += [f"({i},{j})+({j},{i})" for i, j in zip(rows, cols)]
+    m = len(atom_labels)
+    atom_coefficients = np.zeros((m, n, n), dtype=complex)
+    ordered = np.arange(n * n)
+    atom_coefficients[ordered, ordered // n, ordered % n] = 1.0
+    herm = np.arange(n * n, m)
+    atom_coefficients[herm, rows, cols] = atom_coefficients[herm, cols, rows] = 1.0
+
+    # τ swaps ordered atom (i,j) for (j,i) and fixes the Hermitian atoms.
+    tau = np.arange(m)
+    tau[ordered] = (ordered % n) * n + ordered // n
+    a, b = np.triu_indices(m, 1)
+    lo, hi = np.minimum(tau[a], tau[b]), np.maximum(tau[a], tau[b])
+    keep = (a < lo) | ((a == lo) & (b <= hi))
+    a, b = a[keep], b[keep]
+    labels = tuple(f"pair {atom_labels[x]} - {atom_labels[y]}" for x, y in zip(a, b))
+    label_rank = np.empty(len(labels), dtype=np.intp)
+    label_rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    for arr in (a, b, label_rank, atom_coefficients):
+        arr.setflags(write=False)
+    return _PairIndex(a, b, labels, label_rank, atom_coefficients)
+
+
 def pair_filter(
     blocks: BlockFamily, direction: str, slack_tol: float = DEFAULT_SLACK_TOL
 ) -> FilterReport:
-    """Scan all two-atom difference witnesses over ordered and Hermitian index pairs.
+    """Scan the two-atom difference witnesses over ordered and Hermitian index pairs.
 
     The atoms are the n² ordered products R_i R_j* followed by the Hermitian
     sums R_i R_j* + R_j R_i* for i < j, all read off one Gram stack. Witness
-    (a, b) with a < b is atom a minus atom b. Its trace norms come from one
-    batched SVD per anchor a over every later b, so the largest temporary is
-    one row of differences, not all of them.
+    (a, b) with a < b is atom a minus atom b. Its conjugate twin swaps every
+    ordered atom (i,j) for (j,i) and keeps the Hermitian atoms; the twin's
+    matrix is the adjoint of the witness's on both sides, so it has the same
+    trace norms and verdict. Only the member with the lexicographically
+    smaller (a, b) is evaluated, and ``evaluated`` counts those: 7 at n = 2,
+    42 at n = 3, 2 422 at n = 8. Trace norms come from one batched SVD per
+    side over each chunk of ``PAIR_CHUNK`` witnesses, so the temporaries stay
+    bounded at large n. Violations are ordered by (−margin, label).
     """
     fam_in, fam_out = oriented_families(blocks, direction)
     n = blocks.count
+    index = _pair_index(n)
     rows, cols = np.triu_indices(n, 1)
-    labels = [f"({i},{j})" for i in range(n) for j in range(n)]
-    labels += [f"({i},{j})+({j},{i})" for i, j in zip(rows, cols)]
-    coefficients = np.zeros((len(labels), n, n), dtype=complex)
-    ordered = np.arange(n * n)
-    coefficients[ordered, ordered // n, ordered % n] = 1.0
-    herm = np.arange(n * n, len(labels))
-    coefficients[herm, rows, cols] = coefficients[herm, cols, rows] = 1.0
 
     def atoms(fam: list[np.ndarray]) -> np.ndarray:
         G = gram_stack(fam)
@@ -106,22 +152,39 @@ def pair_filter(
         return np.concatenate([ordered_atoms, G[rows, cols] + G[cols, rows]])
 
     mats_in, mats_out = atoms(fam_in), atoms(fam_out)
-    violations: list[FilterWitness] = []
-    for a in range(len(labels) - 1):
-        d_in = linalg.trace_norms(mats_in[a] - mats_in[a + 1 :]) / 2
-        d_out = linalg.trace_norms(mats_out[a] - mats_out[a + 1 :]) / 2
-        for k in np.flatnonzero(d_in < d_out - slack_tol):
-            b = a + 1 + int(k)
-            violations.append(
-                FilterWitness(
-                    coefficients=coefficients[a] - coefficients[b],
-                    d_in=float(d_in[k]),
-                    d_out=float(d_out[k]),
-                    violated=True,
-                    label=f"pair {labels[a]} - {labels[b]}",
-                )
-            )
-    return _finish(direction, violations, len(labels) * (len(labels) - 1) // 2)
+    count = len(index.labels)
+    d_in, d_out = np.empty(count), np.empty(count)
+    for start in range(0, count, PAIR_CHUNK):
+        chunk = slice(start, start + PAIR_CHUNK)
+        a, b = index.first[chunk], index.second[chunk]
+        d_in[chunk] = linalg.trace_norms(mats_in[a] - mats_in[b]) / 2
+        d_out[chunk] = linalg.trace_norms(mats_out[a] - mats_out[b]) / 2
+
+    hits = np.flatnonzero(d_in < d_out - slack_tol)
+    hits = hits[np.lexsort((index.label_rank[hits], -(d_out[hits] - d_in[hits])))]
+    atom = index.atom_coefficients
+    violations = [
+        FilterWitness(
+            coefficients=atom[a] - atom[b],
+            d_in=x,
+            d_out=y,
+            violated=True,
+            label=index.labels[k],
+        )
+        for a, b, x, y, k in zip(
+            index.first[hits].tolist(),
+            index.second[hits].tolist(),
+            d_in[hits].tolist(),
+            d_out[hits].tolist(),
+            hits.tolist(),
+        )
+    ]
+    return FilterReport(
+        direction=direction,
+        verdict="RuledOut" if violations else "Passed",
+        witnesses=violations,
+        evaluated=count,
+    )
 
 
 _RANDOM_FORMS = ("cc*-c~c~*", "cc~*+c~c*", "i(cc~*-c~c*)")

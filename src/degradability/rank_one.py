@@ -51,6 +51,18 @@ class CorrelationCertificate:
 
 
 @dataclass(frozen=True)
+class RankOneRefutation:
+    """The entry (i, j) on which condition (e) fails.
+
+    Either the forced |C_ij| exceeds 1, or the u-Gram entry is nonzero where
+    the v-Gram vanishes.
+    """
+
+    i: int
+    j: int
+
+
+@dataclass(frozen=True)
 class TwoWayCertificate:
     """Phases θ (θ_0 = 0) of the diagonal unitary E = diag(e^{iθ})."""
 
@@ -81,12 +93,15 @@ def check_condition_e(
     div_tol: float = DEFAULT_DIV_TOL,
     match_tol: float = DEFAULT_MATCH_TOL,
     max_iter: int = 5000,
-) -> tuple[str, CorrelationCertificate | None, str]:
+) -> tuple[str, CorrelationCertificate | RankOneRefutation | None, str]:
     """Decide whether a correlation matrix C with (u_i*u_j) = (v_i*v_j) ∘ C exists.
 
     Returns (verdict, certificate, reason) with verdict Yes, No or Inconclusive.
     Entries with |v_i*v_j| <= div_tol stay free and are PSD-completed; a forced
     entry with |C_ij| > 1 kills the 2x2 principal minor and settles No exactly.
+    A Yes carries a ``CorrelationCertificate``. A No settled by one entry
+    carries that entry as a ``RankOneRefutation``; a No from the fully forced
+    C, and an Inconclusive, carry None.
     """
     n = dec.count
     G_u = dec.gram_u()
@@ -102,7 +117,7 @@ def check_condition_e(
                 if abs(c) ** 2 > 1 + match_tol:
                     return (
                         "No",
-                        None,
+                        RankOneRefutation(i, j),
                         f"forced |C({i},{j})| = {abs(c):.6g} > 1: principal minor "
                         f"1 - |C|^2 = {1 - abs(c) ** 2:.3g} < 0",
                     )
@@ -111,7 +126,7 @@ def check_condition_e(
             elif abs(G_u[i, j]) > match_tol:
                 return (
                     "No",
-                    None,
+                    RankOneRefutation(i, j),
                     f"u-Gram entry ({i},{j}) = {abs(G_u[i, j]):.6g} is nonzero where "
                     f"the v-Gram vanishes",
                 )

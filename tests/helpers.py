@@ -1,6 +1,8 @@
 """Shared oracles and random generators for the test suite."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -263,6 +265,60 @@ def pair_filter_oracle(blocks, direction: str, slack_tol: float = 1e-8):
                     )
                 )
     return filters._finish(direction, violations, evaluated)
+
+
+@functools.cache
+def _pair_atom_positions(n: int) -> dict[str, int]:
+    """Atom label -> position in the pair filter's atom order."""
+    labels = [f"({i},{j})" for i in range(n) for j in range(n)]
+    labels += [f"({i},{j})+({j},{i})" for i in range(n) for j in range(i + 1, n)]
+    return {label: k for k, label in enumerate(labels)}
+
+
+def conjugate_twin_label(label: str, n: int) -> str:
+    """Label of the pair witness that swaps every ordered atom (i,j) for (j,i)."""
+    pos = _pair_atom_positions(n)
+
+    def tau(atom: str) -> str:
+        if "+" in atom:
+            return atom
+        i, j = atom[1:-1].split(",")
+        return f"({j},{i})"
+
+    x, y = label.removeprefix("pair ").split(" - ")
+    tx, ty = sorted((tau(x), tau(y)), key=pos.__getitem__)
+    return f"pair {tx} - {ty}"
+
+
+def is_canonical_twin(label: str, n: int) -> bool:
+    """True for the member of a twin pair with the lexicographically smaller (a, b)."""
+    pos = _pair_atom_positions(n)
+
+    def key(pair_label: str) -> tuple[int, int]:
+        x, y = pair_label.removeprefix("pair ").split(" - ")
+        return pos[x], pos[y]
+
+    return key(label) <= key(conjugate_twin_label(label, n))
+
+
+def restrict_to_canonical_twins(report, n: int):
+    """A full pair-filter report cut down to the canonical member of each twin pair."""
+    from degradability import filters
+
+    pos = _pair_atom_positions(n)
+    kept = sum(
+        is_canonical_twin(f"pair {x} - {y}", n)
+        for x in pos
+        for y in pos
+        if pos[x] < pos[y]
+    )
+    witnesses = [w for w in report.witnesses if is_canonical_twin(w.label, n)]
+    return filters.FilterReport(
+        direction=report.direction,
+        verdict="RuledOut" if witnesses else "Passed",
+        witnesses=witnesses,
+        evaluated=kept,
+    )
 
 
 def random_witness_coefficients_oracle(n: int, count: int, seed: int):

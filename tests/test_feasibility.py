@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from degradability import feasibility as fz
 from degradability import linalg, states
+from degradability.channels import QuantumChannel, lift_max_entangled
 from degradability.filters import pair_filter, random_witness_filter
 
 from helpers import (
@@ -18,6 +19,8 @@ from helpers import (
     random_kraus,
     random_state_vector,
     rng,
+    schur_yes_decomposition,
+    state_from_decomposition,
 )
 
 SEC4_STALL_BASELINE = 0.0606096
@@ -534,7 +537,7 @@ class TestDecide:
         assert forward.stage == "rank_one"
         backward = fz.decide(ex, "BtoE")
         assert backward.status == "RuledOut"
-        assert backward.stage == "filter"
+        assert backward.stage == "rank_one"
         assert backward.filter_witness is not None
         assert backward.filter_witness.violated
 
@@ -611,3 +614,80 @@ class TestDecide:
             if out.status == "Feasible":
                 assert out.certificate is not None
         assert "RuledOut" in verdicts
+
+
+def dephasing_lift(t: float) -> states.TripartiteState:
+    kraus = [np.sqrt(1 - t) * np.eye(2), np.sqrt(t) * np.diag([1.0, -1.0])]
+    return lift_max_entangled(QuantumChannel(fz.KrausSet([F.astype(complex) for F in kraus])))
+
+
+def witness_distances_from_amplitudes(
+    state: states.TripartiteState, direction: str, lam: np.ndarray
+) -> tuple[float, float]:
+    """Trace distances of a witness, rebuilt from the normalized amplitude tensor."""
+    T = state.tensor() / np.sqrt(state.norm_squared())
+    S = [T[i] for i in range(T.shape[0])]
+    R = [T[i].T for i in range(T.shape[0])]
+    fam_in, fam_out = (R, S) if direction == "EtoB" else (S, R)
+
+    def distance(fam: list[np.ndarray]) -> float:
+        M = sum(
+            lam[u, v] * fam[u] @ fam[v].conj().T
+            for u in range(len(fam))
+            for v in range(len(fam))
+        )
+        return float(np.linalg.svd(M, compute_uv=False).sum()) / 2
+
+    return distance(fam_in), distance(fam_out)
+
+
+class TestRankOneFirst:
+    """Rank-one families are settled by condition (e) before the filters run."""
+
+    def test_schur_yes_never_reaches_the_filters(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a filter ran on a rank-one Yes family")
+
+        monkeypatch.setattr(fz, "pair_filter", refuse)
+        monkeypatch.setattr(fz, "random_witness_filter", refuse)
+        state = state_from_decomposition(schur_yes_decomposition(rng(8), 8, 2, 8))
+        out = fz.decide(state, "EtoB")
+        assert (out.status, out.stage) == ("Feasible", "rank_one")
+        assert fz.verify_channel(out.certificate, state.unit(), "EtoB") <= 1e-7
+        assert out.certificate.completeness_defect() <= linalg.COMPLETENESS_TOL
+
+    def test_generic_family_still_reaches_the_pair_filter(self, monkeypatch):
+        calls = []
+        original = fz.pair_filter
+
+        def spy(blocks, direction, *args):
+            calls.append(direction)
+            return original(blocks, direction, *args)
+
+        monkeypatch.setattr(fz, "pair_filter", spy)
+        state = states.TripartiteState((8, 3, 3), random_state_vector(rng(3), 72))
+        out = fz.decide(state, "EtoB")
+        assert calls == ["EtoB"]
+        assert (out.status, out.stage) == ("RuledOut", "filter")
+
+    @pytest.mark.parametrize(
+        "state, direction",
+        [
+            (states.build_fixture("example2", a=0.6, b=np.sqrt(0.14)), "BtoE"),
+            (states.build_fixture("bell_lift"), "EtoB"),
+            (dephasing_lift(0.1), "EtoB"),
+            (dephasing_lift(0.25), "EtoB"),
+            (dephasing_lift(0.4), "EtoB"),
+        ],
+        ids=["example2-0.36-BtoE", "bell_lift-EtoB", "dephasing-0.1-EtoB",
+             "dephasing-0.25-EtoB", "dephasing-0.4-EtoB"],
+    )
+    def test_refuted_pair_gives_the_witness(self, state, direction):
+        out = fz.decide(state, direction)
+        assert (out.status, out.stage) == ("RuledOut", "rank_one")
+        witness = out.filter_witness
+        assert witness.violated
+        d_in, d_out = witness_distances_from_amplitudes(state, direction, witness.coefficients)
+        assert d_in < d_out - fz.DEFAULT_SLACK_TOL
+        assert d_in == pytest.approx(witness.d_in, rel=1e-9, abs=1e-12)
+        assert d_out == pytest.approx(witness.d_out, rel=1e-9, abs=1e-12)

@@ -10,6 +10,7 @@ from degradability import filters, linalg, states
 
 from helpers import (
     apply_kraus,
+    conjugate_twin_label,
     crandn,
     depolarizing_lift_state,
     pair_filter_oracle,
@@ -17,6 +18,7 @@ from helpers import (
     random_state_vector,
     random_witness_coefficients_oracle,
     random_witness_filter_oracle,
+    restrict_to_canonical_twins,
     rng,
     schur_yes_decomposition,
     state_from_decomposition,
@@ -55,7 +57,7 @@ class TestPairFilter:
             report = filters.pair_filter(blocks, direction)
             assert report.verdict == "Passed"
             assert report.witnesses == []
-            assert report.evaluated == 10
+            assert report.evaluated == 7
 
     def test_example2_asymmetric_ruled_out_btoe_only(self):
         a, b = np.sqrt(0.35), np.sqrt(0.15)
@@ -79,7 +81,7 @@ class TestPairFilter:
         )
         etob = filters.pair_filter(blocks, "EtoB")
         assert etob.verdict == "RuledOut"
-        assert len(etob.witnesses) == 6
+        assert len(etob.witnesses) == 4
         assert filters.pair_filter(blocks, "BtoE").verdict == "RuledOut"
 
     def test_violations_sorted_by_margin(self):
@@ -162,7 +164,8 @@ def assert_filters_match_loops(state: states.TripartiteState, seed: int) -> None
     blocks = states.extract_blocks(state.unit())
     for direction in filters.DIRECTIONS:
         assert_same_report(
-            filters.pair_filter(blocks, direction), pair_filter_oracle(blocks, direction)
+            filters.pair_filter(blocks, direction),
+            restrict_to_canonical_twins(pair_filter_oracle(blocks, direction), blocks.count),
         )
         assert_same_report(
             filters.random_witness_filter(blocks, direction, 60, seed),
@@ -171,7 +174,11 @@ def assert_filters_match_loops(state: states.TripartiteState, seed: int) -> None
 
 
 class TestBatchedFiltersMatchLoops:
-    """The batched filters against one-witness-at-a-time loops."""
+    """The batched filters against one-witness-at-a-time loops.
+
+    The pair filter evaluates one member of each conjugate twin pair, so it is
+    compared with the full loop restricted to those members.
+    """
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -195,8 +202,45 @@ class TestBatchedFiltersMatchLoops:
         state = state_from_decomposition(schur_yes_decomposition(rng(8), 8, 2, 8))
         blocks = states.extract_blocks(state.unit())
         assert not filters.pair_filter(blocks, "EtoB").violated
-        assert len(filters.pair_filter(blocks, "BtoE").witnesses) == 4186
+        assert len(filters.pair_filter(blocks, "BtoE").witnesses) == 2422
         assert_filters_match_loops(state, 0)
+
+    def test_chunking_leaves_the_report_unchanged(self, monkeypatch):
+        state = states.TripartiteState((4, 2, 3), random_state_vector(rng(6), 24))
+        blocks = states.extract_blocks(state.unit())
+        whole = filters.pair_filter(blocks, "EtoB", -np.inf)
+        monkeypatch.setattr(filters, "PAIR_CHUNK", 7)
+        chunked = filters.pair_filter(blocks, "EtoB", -np.inf)
+        assert whole.evaluated == chunked.evaluated > 7
+        assert [(w.label, w.d_in, w.d_out) for w in chunked.witnesses] == [
+            (w.label, w.d_in, w.d_out) for w in whole.witnesses
+        ]
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            states.TripartiteState((8, 3, 3), random_state_vector(rng(3), 72)),
+            states.TripartiteState((3, 2, 4), random_state_vector(rng(5), 24)),
+            state_from_decomposition(schur_yes_decomposition(rng(8), 8, 2, 8)),
+        ],
+        ids=["generic-8-3-3", "generic-3-2-4", "schur-8-2-8"],
+    )
+    def test_dropped_twins_match_their_kept_twin(self, state):
+        # A slack of -inf reports every pair witness of the full loop.
+        blocks = states.extract_blocks(state.unit())
+        n = blocks.count
+        for direction in filters.DIRECTIONS:
+            full = pair_filter_oracle(blocks, direction, -np.inf)
+            by_label = {w.label: w for w in full.witnesses}
+            kept = {w.label for w in filters.pair_filter(blocks, direction, -np.inf).witnesses}
+            assert kept == {w.label for w in restrict_to_canonical_twins(full, n).witnesses}
+            dropped = [w for w in full.witnesses if w.label not in kept]
+            assert len(dropped) + len(kept) == len(full.witnesses)
+            for w in dropped:
+                twin = by_label[conjugate_twin_label(w.label, n)]
+                assert twin.label in kept
+                assert w.d_in == pytest.approx(twin.d_in, rel=1e-12)
+                assert w.d_out == pytest.approx(twin.d_out, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_random_coefficients_follow_the_draw_order(self, seed):

@@ -96,16 +96,33 @@ class TestConditionE:
         dec = rank_one.RankOneDecomposition(u=u, d=[1.0, 1.0], v=v)
         verdict, cert, reason = rank_one.check_condition_e(dec)
         assert verdict == "No"
-        assert cert is None
+        assert cert == rank_one.RankOneRefutation(0, 1)
         assert "principal minor" in reason
 
     def test_vanishing_v_gram_with_nonzero_u_gram_is_no(self):
         u = [unit(np.array([1.0, 1.0])), np.array([1.0, 0.0])]
         v = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         dec = rank_one.RankOneDecomposition(u=u, d=[1.0, 1.0], v=v)
-        verdict, _, reason = rank_one.check_condition_e(dec)
+        verdict, cert, reason = rank_one.check_condition_e(dec)
         assert verdict == "No"
+        assert cert == rank_one.RankOneRefutation(0, 1)
         assert "v-Gram vanishes" in reason
+
+    def test_indefinite_fully_forced_c_is_no_without_a_pair(self):
+        # Every |C_ij| = 1 is allowed, but C's signed triangle has eigenvalue -1,
+        # while G_u = G_v ∘ C (eigenvalues 1.5, 1.5, 0) is still a Gram matrix.
+        G_v = np.full((3, 3), 0.5) + 0.5 * np.eye(3)
+        C = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1]], dtype=float)
+        w, W = np.linalg.eigh(G_v * C)
+        M = np.sqrt(np.clip(w, 0, None))[:, None] * W.T
+        u = [M[:, i].astype(complex) for i in range(3)]
+        L = np.linalg.cholesky(G_v)
+        v = [L[i].astype(complex) for i in range(3)]
+        dec = rank_one.RankOneDecomposition(u=u, d=[1.0] * 3, v=v)
+        verdict, cert, reason = rank_one.check_condition_e(dec)
+        assert verdict == "No"
+        assert cert is None
+        assert "fully forced C has min eigenvalue" in reason
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
