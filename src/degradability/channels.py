@@ -78,8 +78,8 @@ class InputPreparation:
     def condition_number(self) -> float:
         return float(np.linalg.cond(self.K))
 
-    def invertible(self, cond_tol: float = DEFAULT_COND_TOL) -> bool:
-        return bool(np.isfinite(self.condition_number()) and self.condition_number() <= cond_tol)
+    def invertible(self) -> bool:
+        return bool(np.isfinite(self.condition_number()) and self.condition_number() <= DEFAULT_COND_TOL)
 
 
 def stinespring(channel: QuantumChannel) -> StinespringDilation:
@@ -203,7 +203,7 @@ def epsilon_scan(
         if full_decide:
             verdict = decide(lift, "EtoB", config).status
         else:
-            verdict = pair_filter(blocks, "EtoB", config.slack_tol).verdict
+            verdict = pair_filter(blocks, "EtoB").verdict
         rows.append(
             ScanRow(
                 epsilon=float(eps),

@@ -10,22 +10,26 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
-from . import jsonio
-from .channels import (
-    ChannelAssessment,
-    QuantumChannel,
-    channel_degradability_test,
-    depolarizing,
-    epsilon_scan,
-)
-from .feasibility import FeasibilityOutcome, SolveConfig, decide
-from .states import TripartiteState, build_fixture
+from . import jsonio, linalg
+from .channels import channel_degradability_test, depolarizing, epsilon_scan
+from .feasibility import VERIFY_TOL, FeasibilityOutcome, SolveConfig, decide
+from .filters import DEFAULT_SLACK_TOL, DIRECTIONS
+from .states import build_fixture
 
-DIRECTIONS = ("EtoB", "BtoE")
 _SOLVER_DEFAULTS = SolveConfig()
+# The fixed gates every report's config echoes, in the order its JSON keeps.
+_GATES = {
+    "feas_tol": linalg.FEAS_TOL,
+    "psd_tol": linalg.PSD_TOL,
+    "stall_window": linalg.STALL_WINDOW,
+    "stall_tol": linalg.STALL_TOL,
+    "verify_tol": VERIFY_TOL,
+    "rank_tol": linalg.DEFAULT_RANK_TOL,
+    "slack_tol": DEFAULT_SLACK_TOL,
+}
 
 SCOPE_STATEMENTS = {
     "anti_degradable_certified": (
@@ -56,37 +60,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """CLI-facing knobs; expands into the solver configuration."""
-
-    direction: str = "both"
-    max_iter: int = _SOLVER_DEFAULTS.max_iter
-    feas_tol: float = _SOLVER_DEFAULTS.feas_tol
-    witnesses: int = _SOLVER_DEFAULTS.witnesses
-    seed: int = _SOLVER_DEFAULTS.seed
-    output_format: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.direction not in DIRECTIONS + ("both",):
-            raise ValueError(f"direction must be EtoB, BtoE or both, got {self.direction!r}")
-        if self.output_format not in ("text", "json"):
-            raise ValueError(f"output format must be text or json, got {self.output_format!r}")
-
-    def solve_config(self) -> SolveConfig:
-        return SolveConfig(
-            max_iter=self.max_iter,
-            feas_tol=self.feas_tol,
-            witnesses=self.witnesses,
-            seed=self.seed,
-        )
-
-    def requested_directions(self) -> tuple[str, ...]:
-        return DIRECTIONS if self.direction == "both" else (self.direction,)
+def _solve_config(args: argparse.Namespace) -> SolveConfig:
+    return SolveConfig(max_iter=args.max_iter, witnesses=args.witnesses, seed=args.seed)
 
 
-def _config_obj(config: RunConfig) -> dict:
-    return {"direction": config.direction, **asdict(config.solve_config())}
+def _config_obj(args: argparse.Namespace) -> dict:
+    budgets = asdict(_solve_config(args))
+    return {
+        "direction": getattr(args, "direction", "both"),
+        "max_iter": budgets.pop("max_iter"),
+        **_GATES,
+        **budgets,
+    }
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -116,8 +101,8 @@ def _outcome_lines(direction: str, outcome: FeasibilityOutcome) -> list[str]:
     return lines
 
 
-def _config_lines(config: RunConfig) -> list[str]:
-    pairs = ", ".join(f"{k} {v}" for k, v in _config_obj(config).items())
+def _config_lines(args: argparse.Namespace) -> list[str]:
+    pairs = ", ".join(f"{k} {v}" for k, v in _config_obj(args).items())
     return [f"config: {pairs}"]
 
 
@@ -125,27 +110,17 @@ def _exit_code(outcomes: list[FeasibilityOutcome]) -> int:
     return 0 if all(o.status in ("Feasible", "RuledOut") for o in outcomes) else 2
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        direction=getattr(args, "direction", "both"),
-        max_iter=args.max_iter,
-        feas_tol=args.feas_tol,
-        witnesses=args.witnesses,
-        seed=args.seed,
-        output_format=args.format,
-    )
-
-
 def cmd_analyze_state(args: argparse.Namespace) -> int:
-    config = _run_config(args)
+    config = _solve_config(args)
+    directions = DIRECTIONS if args.direction == "both" else (args.direction,)
     state = jsonio.state_from_obj(jsonio.loads(Path(args.path).read_text(encoding="utf-8")))
     started = time.perf_counter()
-    results = {d: decide(state, d, config.solve_config()) for d in config.requested_directions()}
+    results = {d: decide(state, d, config) for d in directions}
     elapsed = time.perf_counter() - started
-    if config.output_format == "json":
+    if args.format == "json":
         report = {
             "command": "analyze-state",
-            "config": _config_obj(config),
+            "config": _config_obj(args),
             "dims": list(state.dims),
             "results": {d: jsonio.outcome_to_obj(o) for d, o in results.items()},
         }
@@ -154,22 +129,21 @@ def cmd_analyze_state(args: argparse.Namespace) -> int:
         lines = [f"state: dims {state.dims}, norm^2 {state.norm_squared():.6g}"]
         for d, o in results.items():
             lines.extend(_outcome_lines(d, o))
-        lines.extend(_config_lines(config))
+        lines.extend(_config_lines(args))
         lines.append(f"elapsed {elapsed:.3f} s")
         _write_output("\n".join(lines) + "\n", args.out)
     return _exit_code(list(results.values()))
 
 
 def cmd_analyze_channel(args: argparse.Namespace) -> int:
-    config = _run_config(args)
     channel = jsonio.channel_from_obj(jsonio.loads(Path(args.path).read_text(encoding="utf-8")))
     started = time.perf_counter()
-    assessment = channel_degradability_test(channel, config.solve_config())
+    assessment = channel_degradability_test(channel, _solve_config(args))
     elapsed = time.perf_counter() - started
-    if config.output_format == "json":
+    if args.format == "json":
         report = {
             "command": "analyze-channel",
-            "config": _config_obj(config),
+            "config": _config_obj(args),
             "dim": channel.dim,
             "label": assessment.label,
             "scope": SCOPE_STATEMENTS[assessment.label],
@@ -187,22 +161,21 @@ def cmd_analyze_channel(args: argparse.Namespace) -> int:
         ]
         lines.extend(_outcome_lines("EtoB", assessment.e_to_b))
         lines.extend(_outcome_lines("BtoE", assessment.b_to_e))
-        lines.extend(_config_lines(config))
+        lines.extend(_config_lines(args))
         lines.append(f"elapsed {elapsed:.3f} s")
         _write_output("\n".join(lines) + "\n", args.out)
     return 0 if assessment.label != "inconclusive" else 2
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    config = _run_config(args)
     result = epsilon_scan(
-        args.lo, args.hi, args.step, config.solve_config(), full_decide=args.full_decide
+        args.lo, args.hi, args.step, _solve_config(args), full_decide=args.full_decide
     )
-    if config.output_format == "json":
+    if args.format == "json":
         report = {
             "command": "scan",
             "family": args.family,
-            "config": _config_obj(config),
+            "config": _config_obj(args),
             "rows": [
                 {
                     "epsilon": r.epsilon,
@@ -250,9 +223,8 @@ def cmd_fixture(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser, with_direction: bool) -> None:
     if with_direction:
-        parser.add_argument("--direction", choices=("EtoB", "BtoE", "both"), default="both")
+        parser.add_argument("--direction", choices=DIRECTIONS + ("both",), default="both")
     parser.add_argument("--max-iter", type=int, default=_SOLVER_DEFAULTS.max_iter)
-    parser.add_argument("--feas-tol", type=float, default=_SOLVER_DEFAULTS.feas_tol)
     parser.add_argument("--witnesses", type=int, default=_SOLVER_DEFAULTS.witnesses)
     parser.add_argument("--seed", type=int, default=_SOLVER_DEFAULTS.seed)
     parser.add_argument("--format", choices=("text", "json"), default="text")

@@ -29,6 +29,9 @@ from .states import BlockFamily, TripartiteState, extract_blocks
 
 # Most Gauss–Newton steps one Kraus-form finish takes (see AffineSystem.kraus_newton).
 NEWTON_STEPS = 12
+# Largest Frobenius error (I ⊗ Φ) may leave on the unit-norm state's blocks for
+# a Feasible verdict; the completeness bound is linalg.COMPLETENESS_TOL.
+VERIFY_TOL = 1e-7
 # Outcome detail for each way a projection run stops (linalg.ProjectionResult.stop).
 _STOP_DETAIL = {
     "converged": "converged in {} iterations",
@@ -41,24 +44,15 @@ _STOP_DETAIL = {
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Budgets of one decision: projection iterations, random witnesses and their seed."""
+
     max_iter: int = 20000
-    feas_tol: float = 1e-8
-    psd_tol: float = 1e-9
-    stall_window: int = 500
-    stall_tol: float = 1e-12
-    verify_tol: float = 1e-7
-    rank_tol: float = 1e-10
-    slack_tol: float = DEFAULT_SLACK_TOL
     witnesses: int = 200
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("feas_tol", "psd_tol", "stall_tol", "verify_tol", "rank_tol",
-                     "slack_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.max_iter < 1 or self.stall_window < 1:
-            raise ValueError("max_iter and stall_window must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         if self.witnesses < 0:
             raise ValueError("witnesses must be >= 0")
 
@@ -92,8 +86,6 @@ class AffineSystem:
     basis: np.ndarray = field(repr=False)
     fitted: np.ndarray = field(repr=False)
     raw_rows: int
-    dependency_witness: FilterWitness | None = None
-    dependency_detail: str = ""
 
     @property
     def inconsistency(self) -> float:
@@ -315,61 +307,22 @@ def choi_from_kraus(kraus: KrausSet) -> ChoiMatrix:
 
 
 def build_constraints(
-    blocks: BlockFamily,
-    direction: str,
-    pairs: str = "all",
-    dep_tol: float = 1e-10,
-    slack_tol: float = DEFAULT_SLACK_TOL,
+    blocks: BlockFamily, direction: str, pairs: str = "all"
 ) -> AffineSystem:
     """Affine system for Φ(M_in^{uv}) = M_out^{uv} plus trace preservation.
 
     Constraint pairs run over a maximal linearly independent subset of the
-    source blocks; each dependent source block must obey the same linear
-    relation on the target side, otherwise the relation itself is a violated
-    combination witness (the zero input matrix must map to zero).
-    pairs="diagonal" restricts to u = v over that subset.
+    source blocks. Every S_i is R_i transposed, so a linear relation among
+    the source blocks holds among the target blocks too, and the pairs of a
+    dependent block add no constraint. pairs="diagonal" restricts to u = v
+    over that subset.
     """
     if pairs not in ("all", "diagonal"):
         raise ValueError(f"pairs must be 'all' or 'diagonal', got {pairs!r}")
     fam_in, fam_out = oriented_families(blocks, direction)
-    n = len(fam_in)
     in_dim = fam_in[0].shape[0]
     out_dim = fam_out[0].shape[0]
-
-    stacked = np.column_stack([m.reshape(-1) for m in fam_in])
-    keep = linalg.independent_columns(stacked, dep_tol)
-    dropped = [i for i in range(n) if i not in keep]
-
-    witness = None
-    detail = ""
-    if dropped:
-        basis = stacked[:, keep]
-        for d in dropped:
-            coef, *_ = np.linalg.lstsq(basis, stacked[:, d], rcond=None)
-            delta = fam_out[d] - sum(
-                coef[m] * fam_out[keep[m]] for m in range(len(keep))
-            )
-            lam = np.zeros((n, n), dtype=complex)
-            w = np.zeros(n, dtype=complex)
-            w[d] = 1.0
-            for m, idx in enumerate(keep):
-                w[idx] = -coef[m]
-            lam += np.outer(w, w.conj())
-            d_in = linalg.trace_norm(combination(fam_in, lam))
-            d_out = linalg.trace_norm(combination(fam_out, lam))
-            if d_in < d_out - slack_tol:
-                witness = FilterWitness(
-                    coefficients=lam,
-                    d_in=d_in,
-                    d_out=d_out,
-                    violated=True,
-                    label=f"dependency combination for block {d}",
-                )
-                detail = (
-                    f"source block {d} depends linearly on blocks {keep} but the "
-                    f"target side differs (|Δ| = {np.max(np.abs(delta)):.3g})"
-                )
-                break
+    keep = linalg.independent_columns(np.column_stack([m.reshape(-1) for m in fam_in]))
 
     pair_list = (
         [(u, v) for u in keep for v in keep] if pairs == "all" else [(u, u) for u in keep]
@@ -394,8 +347,6 @@ def build_constraints(
         basis=reduced.Q,
         fitted=reduced.c,
         raw_rows=in_dim * (in_dim + 1) + 2 * unordered * out_dim * out_dim,
-        dependency_witness=witness,
-        dependency_detail=detail,
     )
 
 
@@ -407,34 +358,21 @@ def solve_feasibility(
     """Douglas–Rachford splitting between the affine set and the PSD cone.
 
     The run stops at the first certifiable point: a cone iterate X within
-    ``feas_tol`` of the affine set whose projection P_aff(X) is PSD, a PSD
-    P_aff(X) on a consistent affine set, or a K K* polished by
+    ``linalg.FEAS_TOL`` of the affine set whose projection P_aff(X) is PSD,
+    a PSD P_aff(X) on a consistent affine set, or a K K* polished by
     ``AffineSystem.kraus_newton`` (tried at iterations 32, 64, 128, ...) that
     passes the first test. Feasible outcomes carry the Kraus certificate
     extracted from that affine point, which satisfies the affine constraints,
     trace preservation included, exactly, so the certificate's completeness
     defect comes only from the near-zero eigenvalues that extraction drops.
-    The ``detail`` names the stop. The solver never returns RuledOut on its
-    own; a dependency witness recorded on the system is the only way this
-    stage rules out.
+    The ``detail`` names the stop. This stage never returns RuledOut.
     """
-    if system.dependency_witness is not None:
-        return FeasibilityOutcome(
-            status="RuledOut",
-            stage="sdp",
-            filter_witness=system.dependency_witness,
-            detail=system.dependency_detail,
-        )
     dim = system.in_dim * system.out_dim
     start = initial if initial is not None else np.eye(dim, dtype=complex) / system.out_dim
     result = linalg.alternating_projections(
         system.project_and_residual,
         start=start,
         max_iter=config.max_iter,
-        feas_tol=config.feas_tol,
-        psd_tol=config.psd_tol,
-        stall_window=config.stall_window,
-        stall_tol=config.stall_tol,
         finish=system.kraus_newton,
     )
     def wrap(X: np.ndarray) -> ChoiMatrix:
@@ -456,7 +394,7 @@ def solve_feasibility(
             detail=detail,
         )
     J = wrap(result.affine_point)
-    kraus = extract_kraus(J, config.rank_tol)
+    kraus = extract_kraus(J)
     return FeasibilityOutcome(
         status="Feasible",
         stage="sdp",
@@ -469,11 +407,12 @@ def solve_feasibility(
     )
 
 
-def extract_kraus(J: ChoiMatrix, rank_tol: float = 1e-10) -> KrausSet:
+def extract_kraus(J: ChoiMatrix) -> KrausSet:
     """Kraus operators from the eigendecomposition of a (near-)PSD Choi matrix."""
     w, V = linalg.hermitian_eig(J.matrix)
     top = max(float(w[0]), 0.0)
-    if w[-1] < -max(1e-7, 10 * rank_tol * max(top, 1.0)):
+    rank_tol = linalg.DEFAULT_RANK_TOL
+    if w[-1] < -max(VERIFY_TOL, 10 * rank_tol * max(top, 1.0)):
         raise ValueError(f"Choi matrix is materially non-PSD (min eig {w[-1]:.3g})")
     ops = []
     for lam, vec in zip(w, V.T):
@@ -517,18 +456,18 @@ def decide(
     that is not rank one, goes on to the pair filter, the random filter and
     then the Choi feasibility stage. Returns the first conclusive outcome;
     Feasible always carries a Kraus set that re-verifies on the normalized
-    state within verify_tol.
+    state within ``VERIFY_TOL``.
     """
     state = state.unit()
-    blocks = extract_blocks(state, config.rank_tol)
+    blocks = extract_blocks(state)
 
-    dec = rank_one.detect_rank_one(blocks, config.rank_tol)
+    dec = rank_one.detect_rank_one(blocks)
     if dec is not None:
-        outcome = _decide_rank_one(blocks, dec, direction, config, state)
+        outcome = _decide_rank_one(blocks, dec, direction, state)
         if outcome is not None:
             return outcome
 
-    report = pair_filter(blocks, direction, config.slack_tol)
+    report = pair_filter(blocks, direction)
     if report.violated:
         return FeasibilityOutcome(
             status="RuledOut",
@@ -537,9 +476,7 @@ def decide(
             detail=f"pair filter: {len(report.witnesses)} violating witnesses",
         )
     if config.witnesses > 0:
-        report = random_witness_filter(
-            blocks, direction, config.witnesses, config.seed, config.slack_tol
-        )
+        report = random_witness_filter(blocks, direction, config.witnesses, config.seed)
         if report.violated:
             return FeasibilityOutcome(
                 status="RuledOut",
@@ -548,11 +485,10 @@ def decide(
                 detail=f"random filter: {len(report.witnesses)} violating witnesses",
             )
 
-    system = build_constraints(blocks, direction, slack_tol=config.slack_tol)
-    outcome = solve_feasibility(system, config)
+    outcome = solve_feasibility(build_constraints(blocks, direction), config)
     if outcome.status != "Feasible":
         return outcome
-    ok, note = _check_certificate(outcome.certificate, state, direction, config)
+    ok, note = _check_certificate(outcome.certificate, state, direction)
     if ok:
         return replace(outcome, detail=f"{outcome.detail}; {note}")
     return replace(
@@ -564,12 +500,12 @@ def decide(
 
 
 def _check_certificate(
-    kraus: KrausSet, state: TripartiteState, direction: str, config: SolveConfig
+    kraus: KrausSet, state: TripartiteState, direction: str
 ) -> tuple[bool, str]:
     """Re-verify a Kraus certificate on the state; the note states the evidence."""
     residual = verify_channel(kraus, state, direction)
     defect = kraus.completeness_defect()
-    if residual <= config.verify_tol and defect <= linalg.COMPLETENESS_TOL:
+    if residual <= VERIFY_TOL and defect <= linalg.COMPLETENESS_TOL:
         return True, f"verified {residual:.3g}"
     return False, f"residual {residual:.3g}, completeness defect {defect:.3g}"
 
@@ -578,7 +514,6 @@ def _decide_rank_one(
     blocks: BlockFamily,
     dec: rank_one.RankOneDecomposition,
     direction: str,
-    config: SolveConfig,
     state: TripartiteState,
 ) -> FeasibilityOutcome | None:
     """Resolve via the rank-one correlation conditions; None defers to the filters."""
@@ -586,7 +521,7 @@ def _decide_rank_one(
     verdict, cert, reason = rank_one.check_condition_e(oriented)
     if verdict == "Yes":
         kraus = KrausSet(rank_one.kraus_from_correlation(oriented, cert))
-        ok, note = _check_certificate(kraus, state, direction, config)
+        ok, note = _check_certificate(kraus, state, direction)
         if ok:
             return FeasibilityOutcome(
                 status="Feasible",
@@ -597,7 +532,7 @@ def _decide_rank_one(
             )
         return None
     if isinstance(cert, rank_one.RankOneRefutation):
-        witness = _rank_one_witness(blocks, direction, cert, config.slack_tol)
+        witness = _rank_one_witness(blocks, direction, cert)
         if witness is not None:
             return FeasibilityOutcome(
                 status="RuledOut",
@@ -612,7 +547,6 @@ def _rank_one_witness(
     blocks: BlockFamily,
     direction: str,
     refutation: rank_one.RankOneRefutation,
-    slack_tol: float,
 ) -> FilterWitness | None:
     """Violated pair witness matching a condition-(e) refutation, if one exists."""
     i, j = refutation.i, refutation.j
@@ -624,7 +558,7 @@ def _rank_one_witness(
     ):
         d_in = linalg.trace_norm(combination(fam_in, lam)) / 2
         d_out = linalg.trace_norm(combination(fam_out, lam)) / 2
-        if d_in < d_out - slack_tol:
+        if d_in < d_out - DEFAULT_SLACK_TOL:
             return FilterWitness(
                 coefficients=lam, d_in=d_in, d_out=d_out, violated=True, label=label
             )

@@ -125,9 +125,7 @@ def _pair_index(n: int) -> _PairIndex:
     return _PairIndex(a, b, labels, label_rank, atom_coefficients)
 
 
-def pair_filter(
-    blocks: BlockFamily, direction: str, slack_tol: float = DEFAULT_SLACK_TOL
-) -> FilterReport:
+def pair_filter(blocks: BlockFamily, direction: str) -> FilterReport:
     """Scan the two-atom difference witnesses over ordered and Hermitian index pairs.
 
     The atoms are the n² ordered products R_i R_j* followed by the Hermitian
@@ -160,7 +158,7 @@ def pair_filter(
         d_in[chunk] = linalg.trace_norms(mats_in[a] - mats_in[b]) / 2
         d_out[chunk] = linalg.trace_norms(mats_out[a] - mats_out[b]) / 2
 
-    hits = np.flatnonzero(d_in < d_out - slack_tol)
+    hits = np.flatnonzero(d_in < d_out - DEFAULT_SLACK_TOL)
     hits = hits[np.lexsort((index.label_rank[hits], -(d_out[hits] - d_in[hits])))]
     atom = index.atom_coefficients
     violations = [
@@ -195,7 +193,6 @@ def random_witness_filter(
     direction: str,
     count: int,
     seed: int,
-    slack_tol: float = DEFAULT_SLACK_TOL,
 ) -> FilterReport:
     """Sample Hermitian combination witnesses from seeded standard-normal vectors.
 
@@ -236,22 +233,18 @@ def random_witness_filter(
             violated=True,
             label=f"random #{k} {_RANDOM_FORMS[k % 3]}",
         )
-        for k in np.flatnonzero(d_in < d_out - slack_tol)
+        for k in np.flatnonzero(d_in < d_out - DEFAULT_SLACK_TOL)
     ]
     return _finish(direction, violations, count)
 
 
-def contractivity_check(
-    kraus: list[np.ndarray],
-    sigma: np.ndarray,
-    completeness_tol: float = linalg.COMPLETENESS_TOL,
-) -> tuple[float, float]:
+def contractivity_check(kraus: list[np.ndarray], sigma: np.ndarray) -> tuple[float, float]:
     """Trace norms of sigma before and after the channel; after may not exceed before."""
     if not kraus:
         raise ValueError("empty Kraus set")
     d_in = kraus[0].shape[1]
     comp = sum(linalg.dagger(F) @ F for F in kraus)
-    if np.max(np.abs(comp - np.eye(d_in))) > completeness_tol:
+    if np.max(np.abs(comp - np.eye(d_in))) > linalg.COMPLETENESS_TOL:
         raise ValueError(
             f"Kraus set is not trace-preserving: |sum F*F - I| = "
             f"{np.max(np.abs(comp - np.eye(d_in))):.3g}"

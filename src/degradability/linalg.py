@@ -40,8 +40,8 @@ def dagger(M: np.ndarray) -> np.ndarray:
     return M.conj().T
 
 
-def svd(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SVDFactors:
-    """Compact SVD of ``M`` with singular values below ``rank_tol * smax`` dropped."""
+def svd(M: np.ndarray) -> SVDFactors:
+    """Compact SVD of ``M`` without the singular values below ``DEFAULT_RANK_TOL`` · smax."""
     M = np.asarray(M, dtype=complex)
     if not np.all(np.isfinite(M)):
         raise ValueError("svd: input contains non-finite entries")
@@ -49,7 +49,7 @@ def svd(M: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> SVDFactors:
     if s.size == 0 or s[0] <= 0.0:
         rank = 0
     else:
-        rank = int(np.count_nonzero(s > rank_tol * s[0]))
+        rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
     return SVDFactors(U=U[:, :rank], D=s[:rank], V=Vh[:rank].T, rank=rank)
 
 
@@ -66,19 +66,18 @@ def trace_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
 
 
-def hermitian_eig(
-    M: np.ndarray, herm_tol: float = DEFAULT_HERM_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     The input is symmetrized as ``(M + M*)/2`` before factoring; inputs whose
-    anti-Hermitian part exceeds ``herm_tol`` in Frobenius norm are rejected.
+    anti-Hermitian part exceeds ``DEFAULT_HERM_TOL`` in Frobenius norm are
+    rejected.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"hermitian_eig: expected a square matrix, got shape {M.shape}")
     defect = np.linalg.norm(M - dagger(M))
-    if defect > herm_tol:
+    if defect > DEFAULT_HERM_TOL:
         raise ValueError(f"hermitian_eig: matrix is not Hermitian (defect {defect:.3e})")
     w, V = np.linalg.eigh((M + dagger(M)) / 2.0)
     return w[::-1], V[:, ::-1]
@@ -145,16 +144,16 @@ def gram(vectors: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return dagger(M) @ M
 
 
-def independent_columns(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[int]:
+def independent_columns(M: np.ndarray) -> list[int]:
     """Sorted indices of a maximal linearly independent set of columns of ``M``.
 
     Greedy Gram-Schmidt with column pivoting: each step keeps the column with
     the largest component orthogonal to the columns kept so far, and stops once
-    that component falls to ``tol`` times the largest column norm.
+    that component falls to ``DEFAULT_RANK_TOL`` times the largest column norm.
     """
     rest = np.array(M, dtype=complex)
     norms = np.linalg.norm(rest, axis=0)
-    floor = tol * norms.max(initial=0.0)
+    floor = DEFAULT_RANK_TOL * norms.max(initial=0.0)
     keep: list[int] = []
     for _ in range(min(rest.shape)):
         j = int(np.argmax(norms))
@@ -184,12 +183,12 @@ class ReducedAffine:
     inconsistency: float
 
 
-def reduce_rows(A: np.ndarray, b: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> ReducedAffine:
+def reduce_rows(A: np.ndarray, b: np.ndarray) -> ReducedAffine:
     """SVD row reduction of a real or complex linear system to orthonormal rows."""
     A = np.asarray(A)
     b = np.asarray(b)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.count_nonzero(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     Q = Vh[:rank]
     c = (dagger(U[:, :rank]) / s[:rank, None]) @ b
     x_min = dagger(Q) @ c
@@ -199,6 +198,14 @@ def reduce_rows(A: np.ndarray, b: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> 
 
 # Ways a Douglas–Rachford run ends; the first three certify a point.
 CERTIFYING_STOPS = ("converged", "affine_psd", "kraus_newton")
+# A point certifies when its affine residual is at most FEAS_TOL and its
+# affine projection has no eigenvalue below -PSD_TOL.
+FEAS_TOL = 1e-8
+PSD_TOL = 1e-9
+# A run stalls when the best residual over STALL_WINDOW iterations improves on
+# the previous window's by less than STALL_TOL (relative).
+STALL_WINDOW = 500
+STALL_TOL = 1e-12
 # The finish callback runs at iterations FINISH_FROM, 2·FINISH_FROM, 4·FINISH_FROM, ...
 FINISH_FROM = 32
 # The affine_psd stop is tested at every iteration up to PSD_CHECK_DENSE and
@@ -216,10 +223,10 @@ class ProjectionResult:
     projection, which satisfies the affine constraints exactly. ``stop`` says
     why the run ended:
 
-    - ``converged``: the residual of ``point`` is at most ``feas_tol`` and
-      ``affine_point`` is PSD up to ``psd_tol``;
-    - ``affine_psd``: ``affine_point`` is PSD up to ``psd_tol`` and the affine
-      set's own residual floor is at most ``feas_tol``;
+    - ``converged``: the residual of ``point`` is at most ``FEAS_TOL`` and
+      ``affine_point`` is PSD up to ``PSD_TOL``;
+    - ``affine_psd``: ``affine_point`` is PSD up to ``PSD_TOL`` and the affine
+      set's own residual floor is at most ``FEAS_TOL``;
     - ``kraus_newton``: the finish's K K* passed the ``converged`` test;
     - ``stalled``: the window stall rule ended the run;
     - ``budget``: ``max_iter`` iterations ran out.
@@ -246,9 +253,9 @@ class ProjectionResult:
 
 
 def _psd_screen(Y: np.ndarray, shift: np.ndarray) -> bool:
-    """Cheap necessary test for ``min_eig(Y) >= -psd_tol``: a Cholesky of Y + shift.
+    """Cheap necessary test for ``min_eig(Y) >= -PSD_TOL``: a Cholesky of Y + shift.
 
-    The engine passes shift = 2·psd_tol·I. The doubled tolerance keeps the
+    The engine passes shift = 2·PSD_TOL·I. The doubled tolerance keeps the
     screen looser than the test it guards, so a matrix the exact test would
     accept is never screened out by rounding.
     """
@@ -264,10 +271,6 @@ def alternating_projections(
     *,
     start: np.ndarray,
     max_iter: int = 20000,
-    feas_tol: float = 1e-8,
-    psd_tol: float = 1e-9,
-    stall_window: int = 500,
-    stall_tol: float = 1e-12,
     finish: Callable[[np.ndarray], np.ndarray | None] | None = None,
 ) -> ProjectionResult:
     """Douglas–Rachford splitting between the PSD cone and an affine set.
@@ -282,12 +285,12 @@ def alternating_projections(
     the stop tests.
 
     The run stops as soon as it holds a certifiable point (see
-    ``ProjectionResult.stop``): when the residual of X is at most ``feas_tol``
-    and Y has no eigenvalue below ``-psd_tol`` (``converged``), or when Y is
-    PSD to ``psd_tol`` and the affine set's residual floor is at most
-    ``feas_tol`` (``affine_psd``). Every point of the affine set has the same
+    ``ProjectionResult.stop``): when the residual of X is at most ``FEAS_TOL``
+    and Y has no eigenvalue below ``-PSD_TOL`` (``converged``), or when Y is
+    PSD to ``PSD_TOL`` and the affine set's residual floor is at most
+    ``FEAS_TOL`` (``affine_psd``). Every point of the affine set has the same
     residual, so the floor is evaluated once, as the residual of the first
-    PSD Y, and cached; an inconsistent set (floor above ``feas_tol``) never
+    PSD Y, and cached; an inconsistent set (floor above ``FEAS_TOL``) never
     stops this way. A Cholesky screen spares the eigenvalues of most Y. The
     first test runs at every iteration; the second at every iteration up to
     ``PSD_CHECK_DENSE`` and at every ``PSD_CHECK_EVERY``-th after that, since
@@ -299,23 +302,23 @@ def alternating_projections(
     polished K K*) or None. A candidate is accepted only through the
     ``converged`` test (``kraus_newton``).
 
-    The run stalls when the best residual of X over a ``stall_window``
-    improves on the previous window's by less than ``stall_tol`` (relative).
+    The run stalls when the best residual of X over a ``STALL_WINDOW``
+    improves on the previous window's by less than ``STALL_TOL`` (relative).
     The routine never claims the intersection is empty. The name is kept for
     its callers and for the benchmark's trace spans, which wrap the function
     by name and read ``start`` by keyword.
     """
-    if max_iter <= 0 or feas_tol <= 0 or psd_tol <= 0 or stall_window <= 0 or stall_tol <= 0:
-        raise ValueError("alternating_projections: tolerances and budgets must be positive")
+    if max_iter <= 0:
+        raise ValueError("alternating_projections: max_iter must be positive")
 
     def certifies(Y: np.ndarray, res: float) -> bool:
-        return res <= feas_tol and min_eig(Y) >= -psd_tol
+        return res <= FEAS_TOL and min_eig(Y) >= -PSD_TOL
 
     # Z stays Hermitian up to rounding; the eigensolver reads only its lower triangle.
     Z = np.asarray(start, dtype=complex)
     Z = (Z + dagger(Z)) / 2
     PZ, _ = project_affine(Z)
-    shift = 2 * psd_tol * np.eye(Z.shape[0])
+    shift = 2 * PSD_TOL * np.eye(Z.shape[0])
     floor = None
     stop = "budget"
     window_best = np.inf
@@ -327,13 +330,13 @@ def alternating_projections(
         if certifies(Y, res_aff):
             stop = "converged"
             break
-        psd_check = (floor is None or floor <= feas_tol) and (
+        psd_check = (floor is None or floor <= FEAS_TOL) and (
             it <= PSD_CHECK_DENSE or it % PSD_CHECK_EVERY == 0
         )
-        if psd_check and _psd_screen(Y, shift) and min_eig(Y) >= -psd_tol:
+        if psd_check and _psd_screen(Y, shift) and min_eig(Y) >= -PSD_TOL:
             if floor is None:
                 floor = project_affine(Y)[1]
-            if floor <= feas_tol:
+            if floor <= FEAS_TOL:
                 stop, res_aff = "affine_psd", floor
                 break
         if finish is not None and it >= FINISH_FROM and it & (it - 1) == 0:
@@ -344,10 +347,10 @@ def alternating_projections(
                     X, Y, res_aff, stop = candidate, Y_c, res_c, "kraus_newton"
                     break
         window_best = min(window_best, res_aff)
-        if it % stall_window == 0:
+        if it % STALL_WINDOW == 0:
             if np.isfinite(prev_window_best):
                 improvement = (prev_window_best - window_best) / max(prev_window_best, 1e-300)
-                if improvement < stall_tol:
+                if improvement < STALL_TOL:
                     stop = "stalled"
                     break
             prev_window_best = window_best
@@ -370,10 +373,6 @@ def complete_psd(
     start: np.ndarray | None = None,
     *,
     max_iter: int = 20000,
-    feas_tol: float = 1e-8,
-    psd_tol: float = 1e-9,
-    stall_window: int = 500,
-    stall_tol: float = 1e-12,
 ) -> ProjectionResult:
     """Complete a partial Hermitian matrix (entries where ``mask`` is set) to PSD.
 
@@ -393,12 +392,4 @@ def complete_psd(
 
     if start is None:
         start = fixed * mask
-    return alternating_projections(
-        project_affine,
-        start=start,
-        max_iter=max_iter,
-        feas_tol=feas_tol,
-        psd_tol=psd_tol,
-        stall_window=stall_window,
-        stall_tol=stall_tol,
-    )
+    return alternating_projections(project_affine, start=start, max_iter=max_iter)

@@ -72,15 +72,13 @@ class TwoWayCertificate:
         return np.diag(np.exp(1j * self.phases))
 
 
-def detect_rank_one(
-    blocks: BlockFamily, tol: float = linalg.DEFAULT_RANK_TOL
-) -> RankOneDecomposition | None:
+def detect_rank_one(blocks: BlockFamily) -> RankOneDecomposition | None:
     """Rank-one factors of every R_i, or None if any block fails the test."""
     u, d, v = [], [], []
     for f in blocks.svd_factors:
         if f.rank == 0:
             return None
-        if f.rank > 1 and f.D[1] > tol * f.D[0]:
+        if f.rank > 1 and f.D[1] > linalg.DEFAULT_RANK_TOL * f.D[0]:
             return None
         u.append(f.U[:, 0].copy())
         d.append(float(f.D[0]))
@@ -89,15 +87,12 @@ def detect_rank_one(
 
 
 def check_condition_e(
-    dec: RankOneDecomposition,
-    div_tol: float = DEFAULT_DIV_TOL,
-    match_tol: float = DEFAULT_MATCH_TOL,
-    max_iter: int = 5000,
+    dec: RankOneDecomposition, max_iter: int = 5000
 ) -> tuple[str, CorrelationCertificate | RankOneRefutation | None, str]:
     """Decide whether a correlation matrix C with (u_i*u_j) = (v_i*v_j) ∘ C exists.
 
     Returns (verdict, certificate, reason) with verdict Yes, No or Inconclusive.
-    Entries with |v_i*v_j| <= div_tol stay free and are PSD-completed; a forced
+    Entries with |v_i*v_j| <= DEFAULT_DIV_TOL stay free and are PSD-completed; a forced
     entry with |C_ij| > 1 kills the 2x2 principal minor and settles No exactly.
     A Yes carries a ``CorrelationCertificate``. A No settled by one entry
     carries that entry as a ``RankOneRefutation``; a No from the fully forced
@@ -112,9 +107,9 @@ def check_condition_e(
         for j in range(n):
             if i == j:
                 continue
-            if abs(G_v[i, j]) > div_tol:
+            if abs(G_v[i, j]) > DEFAULT_DIV_TOL:
                 c = G_u[i, j] / G_v[i, j]
-                if abs(c) ** 2 > 1 + match_tol:
+                if abs(c) ** 2 > 1 + DEFAULT_MATCH_TOL:
                     return (
                         "No",
                         RankOneRefutation(i, j),
@@ -123,7 +118,7 @@ def check_condition_e(
                     )
                 fixed[i, j] = c
                 fixed_mask[i, j] = True
-            elif abs(G_u[i, j]) > match_tol:
+            elif abs(G_u[i, j]) > DEFAULT_MATCH_TOL:
                 return (
                     "No",
                     RankOneRefutation(i, j),
@@ -134,7 +129,7 @@ def check_condition_e(
     needs_completion = bool((~fixed_mask & ~np.eye(n, dtype=bool)).any())
     if not needs_completion:
         low = linalg.min_eig(fixed)
-        if low < -match_tol:
+        if low < -DEFAULT_MATCH_TOL:
             return "No", None, f"fully forced C has min eigenvalue {low:.3g} < 0"
         cert = CorrelationCertificate(C=fixed, fixed_mask=fixed_mask, completed=False)
         return "Yes", cert, "all entries forced; PSD verified"
@@ -149,7 +144,7 @@ def check_condition_e(
             f"(affine residual {result.residual_affine:.3g})",
         )
     C = result.affine_point
-    if linalg.min_eig(C) < -match_tol:
+    if linalg.min_eig(C) < -DEFAULT_MATCH_TOL:
         return (
             "Inconclusive",
             None,
@@ -159,17 +154,13 @@ def check_condition_e(
     return "Yes", cert, f"completed in {result.iterations} iterations"
 
 
-def check_two_way(
-    dec: RankOneDecomposition,
-    div_tol: float = DEFAULT_DIV_TOL,
-    match_tol: float = DEFAULT_MATCH_TOL,
-) -> tuple[str, TwoWayCertificate | None, str]:
+def check_two_way(dec: RankOneDecomposition) -> tuple[str, TwoWayCertificate | None, str]:
     """Decide whether (u_i*u_j) = E*(v_i*v_j)E for a diagonal unitary E."""
     n = dec.count
     G_u = dec.gram_u()
     G_v = dec.gram_v()
     mismatch = np.abs(np.abs(G_u) - np.abs(G_v))
-    if np.max(mismatch) > match_tol:
+    if np.max(mismatch) > DEFAULT_MATCH_TOL:
         i, j = np.unravel_index(np.argmax(mismatch), mismatch.shape)
         return (
             "No",
@@ -180,7 +171,7 @@ def check_two_way(
 
     theta = np.zeros(n)
     seen = np.zeros(n, dtype=bool)
-    adjacency = (np.abs(G_u) > div_tol) & ~np.eye(n, dtype=bool)
+    adjacency = (np.abs(G_u) > DEFAULT_DIV_TOL) & ~np.eye(n, dtype=bool)
     for root in range(n):
         if seen[root]:
             continue
@@ -199,7 +190,7 @@ def check_two_way(
 
     phase = np.exp(1j * theta)
     residual = np.max(np.abs(G_u - np.outer(phase.conj(), phase) * G_v))
-    if residual > match_tol:
+    if residual > DEFAULT_MATCH_TOL:
         return (
             "No",
             None,

@@ -78,14 +78,12 @@ class ReducedDensities:
     X3: np.ndarray
 
 
-def extract_blocks(
-    state: TripartiteState, rank_tol: float = linalg.DEFAULT_RANK_TOL
-) -> BlockFamily:
+def extract_blocks(state: TripartiteState) -> BlockFamily:
     """Slice the amplitude tensor into ``S_i`` in M_{p,q} and ``R_i = S_i^t``."""
     T = state.tensor()
     S = [np.ascontiguousarray(T[i]) for i in range(state.dims[0])]
     R = [s.T.copy() for s in S]
-    factors = [linalg.svd(r, rank_tol) for r in R]
+    factors = [linalg.svd(r) for r in R]
     return BlockFamily(S=S, R=R, svd_factors=factors)
 
 

@@ -15,6 +15,7 @@ from degradability.channels import (
     stinespring,
 )
 from degradability.feasibility import (
+    VERIFY_TOL,
     KrausSet,
     SolveConfig,
     _check_certificate,
@@ -71,12 +72,11 @@ class TestQuantumChannel:
         # Channel inputs, contractivity checks and decide's certificate check
         # accept and reject the same Kraus sets.
         ghz = build_fixture("ghz")
-        config = SolveConfig()
         for defect, accepted in ((5e-9, True), (2e-8, False)):
             kraus = KrausSet([np.sqrt(1 + defect) * np.eye(2, dtype=complex)])
             assert kraus.completeness_defect() == pytest.approx(defect, rel=1e-6)
-            assert verify_channel(kraus, ghz, "EtoB") <= config.verify_tol
-            ok, note = _check_certificate(kraus, ghz, "EtoB", config)
+            assert verify_channel(kraus, ghz, "EtoB") <= VERIFY_TOL
+            ok, note = _check_certificate(kraus, ghz, "EtoB")
             assert ok is accepted, note
             if accepted:
                 QuantumChannel(kraus)

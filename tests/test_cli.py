@@ -13,7 +13,7 @@ import pytest
 import degradability
 from degradability import jsonio
 from degradability.channels import QuantumChannel, depolarizing, epsilon_scan
-from degradability.cli import RunConfig, main
+from degradability.cli import build_parser, main
 from degradability.feasibility import KrausSet, decide, verify_channel
 from degradability.linalg import COMPLETENESS_TOL
 from degradability.states import TripartiteState, build_fixture
@@ -111,20 +111,21 @@ class TestChannelSchema:
             jsonio.channel_from_obj(obj)
 
 
-class TestRunConfig:
-    def test_defaults_and_expansion(self) -> None:
-        cfg = RunConfig()
-        sc = cfg.solve_config()
-        assert cfg.direction == "both"
-        assert sc.max_iter == 20000 and sc.seed == 0 and sc.witnesses == 200
-        assert cfg.requested_directions() == ("EtoB", "BtoE")
-        assert RunConfig(direction="BtoE").requested_directions() == ("BtoE",)
+class TestParser:
+    def test_defaults(self) -> None:
+        args = build_parser().parse_args(["analyze-state", "s.json"])
+        assert (args.max_iter, args.witnesses, args.seed) == (20000, 200, 0)
+        assert (args.direction, args.format) == ("both", "text")
 
-    def test_rejects_bad_choices(self) -> None:
-        with pytest.raises(ValueError, match="direction"):
-            RunConfig(direction="up")
-        with pytest.raises(ValueError, match="format"):
-            RunConfig(output_format="xml")
+    @pytest.mark.parametrize(
+        "flags",
+        [["--direction", "up"], ["--format", "xml"], ["--feas-tol", "1e-6"]],
+        ids=["direction", "format", "feas-tol"],
+    )
+    def test_rejects_bad_flags(self, tmp_path: Path, capsys, flags: list[str]) -> None:
+        path = write_state(tmp_path / "s.json", build_fixture("ghz"))
+        assert main(["analyze-state", str(path), *flags]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestAnalyzeState:

@@ -208,9 +208,10 @@ class TestBatchedFiltersMatchLoops:
     def test_chunking_leaves_the_report_unchanged(self, monkeypatch):
         state = states.TripartiteState((4, 2, 3), random_state_vector(rng(6), 24))
         blocks = states.extract_blocks(state.unit())
-        whole = filters.pair_filter(blocks, "EtoB", -np.inf)
+        monkeypatch.setattr(filters, "DEFAULT_SLACK_TOL", -np.inf)
+        whole = filters.pair_filter(blocks, "EtoB")
         monkeypatch.setattr(filters, "PAIR_CHUNK", 7)
-        chunked = filters.pair_filter(blocks, "EtoB", -np.inf)
+        chunked = filters.pair_filter(blocks, "EtoB")
         assert whole.evaluated == chunked.evaluated > 7
         assert [(w.label, w.d_in, w.d_out) for w in chunked.witnesses] == [
             (w.label, w.d_in, w.d_out) for w in whole.witnesses
@@ -225,14 +226,15 @@ class TestBatchedFiltersMatchLoops:
         ],
         ids=["generic-8-3-3", "generic-3-2-4", "schur-8-2-8"],
     )
-    def test_dropped_twins_match_their_kept_twin(self, state):
+    def test_dropped_twins_match_their_kept_twin(self, state, monkeypatch):
         # A slack of -inf reports every pair witness of the full loop.
+        monkeypatch.setattr(filters, "DEFAULT_SLACK_TOL", -np.inf)
         blocks = states.extract_blocks(state.unit())
         n = blocks.count
         for direction in filters.DIRECTIONS:
             full = pair_filter_oracle(blocks, direction, -np.inf)
             by_label = {w.label: w for w in full.witnesses}
-            kept = {w.label for w in filters.pair_filter(blocks, direction, -np.inf).witnesses}
+            kept = {w.label for w in filters.pair_filter(blocks, direction).witnesses}
             assert kept == {w.label for w in restrict_to_canonical_twins(full, n).witnesses}
             dropped = [w for w in full.witnesses if w.label not in kept]
             assert len(dropped) + len(kept) == len(full.witnesses)
@@ -243,11 +245,12 @@ class TestBatchedFiltersMatchLoops:
                 assert w.d_out == pytest.approx(twin.d_out, rel=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_random_coefficients_follow_the_draw_order(self, seed):
+    def test_random_coefficients_follow_the_draw_order(self, seed, monkeypatch):
         # A slack of -inf reports every witness, so each drawn λ is visible.
+        monkeypatch.setattr(filters, "DEFAULT_SLACK_TOL", -np.inf)
         state = states.TripartiteState((8, 3, 3), random_state_vector(rng(3), 72))
         blocks = states.extract_blocks(state)
-        report = filters.random_witness_filter(blocks, "EtoB", 200, seed, -np.inf)
+        report = filters.random_witness_filter(blocks, "EtoB", 200, seed)
         drawn = {w.label: w.coefficients for w in report.witnesses}
         expected = random_witness_coefficients_oracle(blocks.count, 200, seed)
         assert len(drawn) == len(expected) == 200

@@ -30,7 +30,7 @@ def test_svd_transpose_convention_reconstructs_complex():
 def test_svd_rank_truncation():
     u = np.array([1.0, 0.0])
     M = np.outer(u, u) + 1e-14 * np.outer([0, 1.0], [0, 1.0])
-    f = linalg.svd(M, rank_tol=1e-10)
+    f = linalg.svd(M)
     assert f.rank == 1
     assert linalg.svd(np.zeros((3, 2))).rank == 0
 
@@ -273,17 +273,16 @@ def test_alternating_projections_infeasible_stalls():
 
 def test_converged_affine_point_satisfies_the_affine_set():
     # Certificates are read off affine_point, so it must meet the affine
-    # constraints exactly, not just within feas_tol. Both cases converge to
+    # constraints exactly, not just within FEAS_TOL. Both cases converge to
     # the PSD boundary, where the cone iterate is still ~1e-9 off the set.
-    psd_tol = 1e-9
     g = crandn(rng(0), 5, 1)
     C = g @ g.conj().T
     mask = np.abs(np.subtract.outer(np.arange(5), np.arange(5))) <= 1
-    res = linalg.complete_psd(C, mask, start=np.eye(5, dtype=complex), psd_tol=psd_tol)
+    res = linalg.complete_psd(C, mask, start=np.eye(5, dtype=complex))
     assert res.converged
     assert np.max(np.abs(res.affine_point[mask] - C[mask])) <= 1e-12
     assert np.max(np.abs(res.affine_point - res.affine_point.conj().T)) <= 1e-12
-    assert linalg.min_eig(res.affine_point) >= -psd_tol
+    assert linalg.min_eig(res.affine_point) >= -linalg.PSD_TOL
     assert linalg.min_eig(res.point) >= -1e-12
 
     # A planted E -> B state (Choi 16): chi is symmetric under B <-> E.
@@ -292,12 +291,12 @@ def test_converged_affine_point_satisfies_the_affine_set():
     system = feasibility.build_constraints(states.extract_blocks(state), "EtoB")
     dim = system.in_dim * system.out_dim
     res = linalg.alternating_projections(
-        system.project_and_residual, start=np.eye(dim, dtype=complex), psd_tol=psd_tol
+        system.project_and_residual, start=np.eye(dim, dtype=complex)
     )
     assert res.converged
     assert system.residual(res.affine_point) <= 1e-12
     assert np.max(np.abs(system.project(res.affine_point) - res.affine_point)) <= 1e-12
-    assert linalg.min_eig(res.affine_point) >= -psd_tol
+    assert linalg.min_eig(res.affine_point) >= -linalg.PSD_TOL
     assert linalg.min_eig(res.point) >= -1e-12
 
 
