@@ -55,6 +55,8 @@ class SolveConfig:
             raise ValueError("max_iter must be >= 1")
         if self.witnesses < 0:
             raise ValueError("witnesses must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -454,9 +456,10 @@ def decide(
     verified Kraus set, and a No refuted by one pair with a violated pair
     witness (stage ``rank_one``). Any other rank-one result, and every family
     that is not rank one, goes on to the pair filter, the random filter and
-    then the Choi feasibility stage. Returns the first conclusive outcome;
-    Feasible always carries a Kraus set that re-verifies on the normalized
-    state within ``VERIFY_TOL``.
+    then the Choi feasibility stage. Returns the first conclusive outcome. A
+    filter's RuledOut carries the filter's strongest violated witness and
+    counts the violators in its detail. Feasible always carries a Kraus set
+    that re-verifies on the normalized state within ``VERIFY_TOL``.
     """
     state = state.unit()
     blocks = extract_blocks(state)
@@ -467,23 +470,17 @@ def decide(
         if outcome is not None:
             return outcome
 
-    report = pair_filter(blocks, direction)
+    name, report = "pair", pair_filter(blocks, direction)
+    if not report.violated and config.witnesses > 0:
+        name = "random"
+        report = random_witness_filter(blocks, direction, config.witnesses, config.seed)
     if report.violated:
         return FeasibilityOutcome(
             status="RuledOut",
             stage="filter",
-            filter_witness=report.witnesses[0],
-            detail=f"pair filter: {len(report.witnesses)} violating witnesses",
+            filter_witness=report.witness,
+            detail=f"{name} filter: {report.violations} violating witnesses",
         )
-    if config.witnesses > 0:
-        report = random_witness_filter(blocks, direction, config.witnesses, config.seed)
-        if report.violated:
-            return FeasibilityOutcome(
-                status="RuledOut",
-                stage="filter",
-                filter_witness=report.witnesses[0],
-                detail=f"random filter: {len(report.witnesses)} violating witnesses",
-            )
 
     outcome = solve_feasibility(build_constraints(blocks, direction), config)
     if outcome.status != "Feasible":

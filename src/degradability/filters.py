@@ -8,7 +8,8 @@ therefore rules the channel out. Passing all witnesses certifies nothing.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,14 +40,24 @@ class FilterWitness:
 
 @dataclass(frozen=True)
 class FilterReport:
+    """Witnesses ``evaluated``, the number of ``violations`` and the strongest one.
+
+    A witness is violated when d_in < d_out - ``DEFAULT_SLACK_TOL``. ``witness``
+    has the largest margin d_out - d_in, ties going to the smaller label, or is None.
+    """
+
     direction: str
-    verdict: str
-    witnesses: list[FilterWitness] = field(default_factory=list)
-    evaluated: int = 0
+    evaluated: int
+    violations: int
+    witness: FilterWitness | None = None
 
     @property
     def violated(self) -> bool:
-        return self.verdict == "RuledOut"
+        return self.witness is not None
+
+    @property
+    def verdict(self) -> str:
+        return "RuledOut" if self.violated else "Passed"
 
 
 def oriented_families(
@@ -72,29 +83,35 @@ def gram_stack(mats: list[np.ndarray]) -> np.ndarray:
     return np.einsum("udk,vek->uvde", stacked, stacked.conj())
 
 
-def _finish(
-    direction: str, violations: list[FilterWitness], evaluated: int
+def _strongest(
+    direction: str,
+    d_in: np.ndarray,
+    d_out: np.ndarray,
+    label: Callable[[int], str],
+    coefficients: Callable[[int], np.ndarray],
 ) -> FilterReport:
-    violations.sort(key=lambda w: (-w.margin, w.label))
-    verdict = "RuledOut" if violations else "Passed"
-    return FilterReport(
-        direction=direction, verdict=verdict, witnesses=violations, evaluated=evaluated
-    )
+    """The report on witnesses k named ``label(k)``; only the strongest violator is built."""
+    hits = np.flatnonzero(d_in < d_out - DEFAULT_SLACK_TOL)
+    witness = None
+    if hits.size:
+        margins = d_out[hits] - d_in[hits]
+        k = min(hits[margins == margins.max()].tolist(), key=label)
+        witness = FilterWitness(
+            coefficients(k), float(d_in[k]), float(d_out[k]), violated=True, label=label(k)
+        )
+    return FilterReport(direction, evaluated=d_in.size, violations=hits.size, witness=witness)
 
 
 class _PairIndex(NamedTuple):
     """The canonical pair witnesses of an n-block family, shared by every call.
 
-    ``first`` and ``second`` index atoms a < b of each kept witness; ``labels``
-    name the witnesses and ``label_rank`` is each label's place in string
-    order. ``atom_coefficients`` holds the λ of every atom. All arrays are
-    read-only.
+    ``first`` and ``second`` index atoms a < b of each kept witness, ``labels``
+    name them and ``atom_coefficients`` holds every atom's λ. Arrays are read-only.
     """
 
     first: np.ndarray
     second: np.ndarray
     labels: tuple[str, ...]
-    label_rank: np.ndarray
     atom_coefficients: np.ndarray
 
 
@@ -118,27 +135,13 @@ def _pair_index(n: int) -> _PairIndex:
     keep = (a < lo) | ((a == lo) & (b <= hi))
     a, b = a[keep], b[keep]
     labels = tuple(f"pair {atom_labels[x]} - {atom_labels[y]}" for x, y in zip(a, b))
-    label_rank = np.empty(len(labels), dtype=np.intp)
-    label_rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
-    for arr in (a, b, label_rank, atom_coefficients):
+    for arr in (a, b, atom_coefficients):
         arr.setflags(write=False)
-    return _PairIndex(a, b, labels, label_rank, atom_coefficients)
+    return _PairIndex(a, b, labels, atom_coefficients)
 
 
-def pair_filter(blocks: BlockFamily, direction: str) -> FilterReport:
-    """Scan the two-atom difference witnesses over ordered and Hermitian index pairs.
-
-    The atoms are the n² ordered products R_i R_j* followed by the Hermitian
-    sums R_i R_j* + R_j R_i* for i < j, all read off one Gram stack. Witness
-    (a, b) with a < b is atom a minus atom b. Its conjugate twin swaps every
-    ordered atom (i,j) for (j,i) and keeps the Hermitian atoms; the twin's
-    matrix is the adjoint of the witness's on both sides, so it has the same
-    trace norms and verdict. Only the member with the lexicographically
-    smaller (a, b) is evaluated, and ``evaluated`` counts those: 7 at n = 2,
-    42 at n = 3, 2 422 at n = 8. Trace norms come from one batched SVD per
-    side over each chunk of ``PAIR_CHUNK`` witnesses, so the temporaries stay
-    bounded at large n. Violations are ordered by (−margin, label).
-    """
+def _pair_norms(blocks: BlockFamily, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """Trace distances d_in, d_out of every pair witness, in ``_pair_index(n)`` order."""
     fam_in, fam_out = oriented_families(blocks, direction)
     n = blocks.count
     index = _pair_index(n)
@@ -157,53 +160,40 @@ def pair_filter(blocks: BlockFamily, direction: str) -> FilterReport:
         a, b = index.first[chunk], index.second[chunk]
         d_in[chunk] = linalg.trace_norms(mats_in[a] - mats_in[b]) / 2
         d_out[chunk] = linalg.trace_norms(mats_out[a] - mats_out[b]) / 2
+    return d_in, d_out
 
-    hits = np.flatnonzero(d_in < d_out - DEFAULT_SLACK_TOL)
-    hits = hits[np.lexsort((index.label_rank[hits], -(d_out[hits] - d_in[hits])))]
+
+def pair_filter(blocks: BlockFamily, direction: str) -> FilterReport:
+    """Scan the two-atom difference witnesses over ordered and Hermitian index pairs.
+
+    The atoms are the n² ordered products R_i R_j* followed by the Hermitian
+    sums R_i R_j* + R_j R_i* for i < j, all read off one Gram stack. Witness
+    (a, b) with a < b is atom a minus atom b. Its conjugate twin swaps every
+    ordered atom (i,j) for (j,i) and keeps the Hermitian atoms; the twin's
+    matrix is the adjoint of the witness's on both sides, so it has the same
+    trace norms and verdict. Only the member with the lexicographically
+    smaller (a, b) is evaluated, and ``evaluated`` counts those: 7 at n = 2,
+    42 at n = 3, 2 422 at n = 8. Trace norms come from one batched SVD per
+    side over each chunk of ``PAIR_CHUNK`` witnesses, so the temporaries stay
+    bounded at large n. The report carries the strongest violated witness.
+    """
+    index = _pair_index(blocks.count)
     atom = index.atom_coefficients
-    violations = [
-        FilterWitness(
-            coefficients=atom[a] - atom[b],
-            d_in=x,
-            d_out=y,
-            violated=True,
-            label=index.labels[k],
-        )
-        for a, b, x, y, k in zip(
-            index.first[hits].tolist(),
-            index.second[hits].tolist(),
-            d_in[hits].tolist(),
-            d_out[hits].tolist(),
-            hits.tolist(),
-        )
-    ]
-    return FilterReport(
-        direction=direction,
-        verdict="RuledOut" if violations else "Passed",
-        witnesses=violations,
-        evaluated=count,
+    return _strongest(
+        direction,
+        *_pair_norms(blocks, direction),
+        index.labels.__getitem__,
+        lambda k: atom[index.first[k]] - atom[index.second[k]],
     )
 
 
 _RANDOM_FORMS = ("cc*-c~c~*", "cc~*+c~c*", "i(cc~*-c~c*)")
 
 
-def random_witness_filter(
-    blocks: BlockFamily,
-    direction: str,
-    count: int,
-    seed: int,
-) -> FilterReport:
-    """Sample Hermitian combination witnesses from seeded standard-normal vectors.
-
-    Rank-one coefficients c c* alone are useless here: both sides are then PSD
-    with identical traces, so their trace norms agree. Each draw instead takes
-    two vectors (c, c~) and cycles through the Hermitian combinations
-    cc* - c~c~*, cc~* + c~c*, and i(cc~* - c~c*). Witness k draws Re c, Im c,
-    Re c~, Im c~ in that order from ``default_rng(seed)``. All ``count``
-    combinations are formed at once from the Gram stacks and their trace
-    norms taken in one batched SVD per side.
-    """
+def _random_witnesses(
+    blocks: BlockFamily, direction: str, count: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (count, n, n) stack of drawn λ with the trace norms d_in, d_out of each."""
     if count < 1:
         raise ValueError(f"witness count must be >= 1, got {count}")
     fam_in, fam_out = oriented_families(blocks, direction)
@@ -225,17 +215,33 @@ def random_witness_filter(
 
     d_in = linalg.trace_norms(np.tensordot(lam, gram_stack(fam_in), axes=2))
     d_out = linalg.trace_norms(np.tensordot(lam, gram_stack(fam_out), axes=2))
-    violations = [
-        FilterWitness(
-            coefficients=lam[k].copy(),
-            d_in=float(d_in[k]),
-            d_out=float(d_out[k]),
-            violated=True,
-            label=f"random #{k} {_RANDOM_FORMS[k % 3]}",
-        )
-        for k in np.flatnonzero(d_in < d_out - DEFAULT_SLACK_TOL)
-    ]
-    return _finish(direction, violations, count)
+    return lam, d_in, d_out
+
+
+def random_witness_filter(
+    blocks: BlockFamily,
+    direction: str,
+    count: int,
+    seed: int,
+) -> FilterReport:
+    """Sample Hermitian combination witnesses from seeded standard-normal vectors.
+
+    Rank-one coefficients c c* alone are useless here: both sides are then PSD
+    with identical traces, so their trace norms agree. Each draw instead takes
+    two vectors (c, c~) and cycles through the Hermitian combinations
+    cc* - c~c~*, cc~* + c~c*, and i(cc~* - c~c*). Witness k draws Re c, Im c,
+    Re c~, Im c~ in that order from ``default_rng(seed)``. All ``count``
+    combinations are formed at once from the Gram stacks and their trace
+    norms taken in one batched SVD per side. It reports the strongest violator.
+    """
+    lam, d_in, d_out = _random_witnesses(blocks, direction, count, seed)
+    return _strongest(
+        direction,
+        d_in,
+        d_out,
+        lambda k: f"random #{k} {_RANDOM_FORMS[k % 3]}",
+        lambda k: lam[k].copy(),
+    )
 
 
 def contractivity_check(kraus: list[np.ndarray], sigma: np.ndarray) -> tuple[float, float]:

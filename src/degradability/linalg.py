@@ -171,29 +171,22 @@ def independent_columns(M: np.ndarray) -> list[int]:
 class ReducedAffine:
     """Least-squares solution set of ``A x = b`` rewritten as ``Q x = c``.
 
-    ``Q`` has orthonormal rows spanning the row space of ``A``; ``b`` and ``c``
-    may be vectors or matrices with one column per right-hand side.
-    ``inconsistency`` is the relative residual of the min-norm solution; a value
-    well above the reduction tolerance proves the original system has no solution.
+    ``Q`` has orthonormal rows spanning the row space of ``A``, so the rank is
+    ``Q.shape[0]``; ``b`` and ``c`` may be vectors or matrices with one column
+    per right-hand side.
     """
 
     Q: np.ndarray
     c: np.ndarray
-    rank: int
-    inconsistency: float
 
 
 def reduce_rows(A: np.ndarray, b: np.ndarray) -> ReducedAffine:
     """SVD row reduction of a real or complex linear system to orthonormal rows."""
-    A = np.asarray(A)
-    b = np.asarray(b)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     Q = Vh[:rank]
     c = (dagger(U[:, :rank]) / s[:rank, None]) @ b
-    x_min = dagger(Q) @ c
-    inconsistency = float(np.linalg.norm(A @ x_min - b) / (1.0 + np.linalg.norm(b)))
-    return ReducedAffine(Q=Q, c=c, rank=rank, inconsistency=inconsistency)
+    return ReducedAffine(Q=Q, c=c)
 
 
 # Ways a Douglas–Rachford run ends; the first three certify a point.

@@ -228,8 +228,17 @@ def brute_force_feasibility(
     return False, best
 
 
+def by_strength(witnesses):
+    """Witnesses in (−margin, label) order, the strongest first."""
+    return sorted(witnesses, key=lambda w: (-w.margin, w.label))
+
+
 def pair_filter_oracle(blocks, direction: str, slack_tol: float = 1e-8):
-    """Reference pair filter: one witness at a time, two trace norms per pair."""
+    """Reference pair filter: one witness at a time, two trace norms per pair.
+
+    Returns the violated witnesses of every (a, b), conjugate twins included,
+    strongest first; a slack of -inf returns every witness.
+    """
     from degradability import filters, linalg
 
     fam_in, fam_out = filters.oriented_families(blocks, direction)
@@ -248,10 +257,8 @@ def pair_filter_oracle(blocks, direction: str, slack_tol: float = 1e-8):
     mats_in = [filters.combination(fam_in, lam) for lam, _ in atoms]
     mats_out = [filters.combination(fam_out, lam) for lam, _ in atoms]
     violations = []
-    evaluated = 0
     for a in range(len(atoms)):
         for b in range(a + 1, len(atoms)):
-            evaluated += 1
             d_in = linalg.trace_norm(mats_in[a] - mats_in[b]) / 2
             d_out = linalg.trace_norm(mats_out[a] - mats_out[b]) / 2
             if d_in < d_out - slack_tol:
@@ -264,7 +271,7 @@ def pair_filter_oracle(blocks, direction: str, slack_tol: float = 1e-8):
                         label=f"pair {atoms[a][1]} - {atoms[b][1]}",
                     )
                 )
-    return filters._finish(direction, violations, evaluated)
+    return by_strength(violations)
 
 
 @functools.cache
@@ -301,24 +308,9 @@ def is_canonical_twin(label: str, n: int) -> bool:
     return key(label) <= key(conjugate_twin_label(label, n))
 
 
-def restrict_to_canonical_twins(report, n: int):
-    """A full pair-filter report cut down to the canonical member of each twin pair."""
-    from degradability import filters
-
-    pos = _pair_atom_positions(n)
-    kept = sum(
-        is_canonical_twin(f"pair {x} - {y}", n)
-        for x in pos
-        for y in pos
-        if pos[x] < pos[y]
-    )
-    witnesses = [w for w in report.witnesses if is_canonical_twin(w.label, n)]
-    return filters.FilterReport(
-        direction=report.direction,
-        verdict="RuledOut" if witnesses else "Passed",
-        witnesses=witnesses,
-        evaluated=kept,
-    )
+def restrict_to_canonical_twins(witnesses, n: int):
+    """Pair witnesses of the full loop cut down to the canonical member of each twin pair."""
+    return [w for w in witnesses if is_canonical_twin(w.label, n)]
 
 
 def random_witness_coefficients_oracle(n: int, count: int, seed: int):
@@ -345,7 +337,11 @@ def random_witness_coefficients_oracle(n: int, count: int, seed: int):
 def random_witness_filter_oracle(
     blocks, direction: str, count: int, seed: int, slack_tol: float = 1e-8
 ):
-    """Reference random filter: two trace norms per witness, in draw order."""
+    """Reference random filter: two trace norms per witness, in draw order.
+
+    Returns the violated witnesses, strongest first; a slack of -inf returns
+    every witness.
+    """
     from degradability import filters, linalg
 
     fam_in, fam_out = filters.oriented_families(blocks, direction)
@@ -359,7 +355,7 @@ def random_witness_filter_oracle(
                     coefficients=lam, d_in=d_in, d_out=d_out, violated=True, label=label
                 )
             )
-    return filters._finish(direction, violations, count)
+    return by_strength(violations)
 
 
 def douglas_rachford_oracle(

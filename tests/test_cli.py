@@ -119,8 +119,8 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--direction", "up"], ["--format", "xml"], ["--feas-tol", "1e-6"]],
-        ids=["direction", "format", "feas-tol"],
+        [["--direction", "up"], ["--format", "xml"], ["--feas-tol", "1e-6"], ["--seed", "-1"]],
+        ids=["direction", "format", "feas-tol", "seed"],
     )
     def test_rejects_bad_flags(self, tmp_path: Path, capsys, flags: list[str]) -> None:
         path = write_state(tmp_path / "s.json", build_fixture("ghz"))

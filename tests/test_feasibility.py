@@ -16,10 +16,14 @@ from degradability.filters import pair_filter, random_witness_filter
 from helpers import (
     brute_force_feasibility,
     crandn,
+    depolarizing_lift_state,
     douglas_rachford_oracle,
+    pair_filter_oracle,
     planted_state,
     random_kraus,
     random_state_vector,
+    random_witness_filter_oracle,
+    restrict_to_canonical_twins,
     rng,
     schur_yes_decomposition,
     state_from_decomposition,
@@ -71,6 +75,10 @@ class TestSolveConfig:
             fz.SolveConfig(max_iter=0)
         with pytest.raises(ValueError, match="witnesses"):
             fz.SolveConfig(witnesses=-1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            fz.SolveConfig(seed=-1)
 
 
 class TestChoiMatrix:
@@ -590,6 +598,43 @@ class TestDecide:
             if out.status == "Feasible":
                 assert out.certificate is not None
         assert "RuledOut" in verdicts
+
+
+class TestFilterRuleOut:
+    """A filter RuledOut reports the filter's strongest violator and its violator count."""
+
+    @pytest.mark.parametrize(
+        "state, direction, filter_name, count, label",
+        [
+            (states.build_fixture("sec4", alpha=np.sqrt(0.8), a=np.sqrt(0.65)), "EtoB",
+             "pair", 4, "pair (0,1)+(1,0) - (1,2)+(2,1)"),
+            (depolarizing_lift_state(0.1), "BtoE", "random", 39, "random #29 i(cc~*-c~c*)"),
+        ],
+        ids=["sec4-EtoB-pair", "depolarizing-0.1-BtoE-random"],
+    )
+    def test_detail_and_witness_follow_the_oracle(
+        self, state, direction, filter_name, count, label
+    ):
+        config = fz.SolveConfig()
+        out = fz.decide(state, direction, config)
+        assert (out.status, out.stage) == ("RuledOut", "filter")
+        blocks = states.extract_blocks(state.unit())
+        pair = restrict_to_canonical_twins(pair_filter_oracle(blocks, direction), blocks.count)
+        if filter_name == "pair":
+            violators = pair
+        else:
+            assert pair == []
+            violators = random_witness_filter_oracle(
+                blocks, direction, config.witnesses, config.seed
+            )
+        assert out.detail == f"{filter_name} filter: {len(violators)} violating witnesses"
+        witness, head = out.filter_witness, violators[0]
+        assert witness.label == head.label
+        assert np.array_equal(witness.coefficients, head.coefficients)
+        assert witness.d_in == pytest.approx(head.d_in, rel=1e-12)
+        assert witness.d_out == pytest.approx(head.d_out, rel=1e-12)
+        # Pin the values too, so that a change in the oracles cannot hide one in the filters.
+        assert (len(violators), head.label) == (count, label)
 
 
 def dephasing_lift(t: float) -> states.TripartiteState:

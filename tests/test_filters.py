@@ -25,6 +25,13 @@ from helpers import (
 )
 
 
+def pair_norms_by_label(blocks: states.BlockFamily, direction: str) -> dict:
+    """The pair filter's (d_in, d_out) for every witness it evaluates, by label."""
+    d_in, d_out = filters._pair_norms(blocks, direction)
+    labels = filters._pair_index(blocks.count).labels
+    return dict(zip(labels, zip(d_in.tolist(), d_out.tolist())))
+
+
 class TestPairFilter:
     def test_depolarizing_closed_forms(self):
         for eps in np.arange(0.05, 0.46, 0.05):
@@ -44,19 +51,17 @@ class TestPairFilter:
 
     def test_depolarizing_witness_values_at_eps_01(self):
         blocks = states.extract_blocks(depolarizing_lift_state(0.1))
-        report = filters.pair_filter(blocks, "EtoB")
-        assert report.violated
-        match = [w for w in report.witnesses if w.label == "pair (0,0) - (1,1)"]
-        assert len(match) == 1
-        assert match[0].d_in == pytest.approx(0.4131, abs=5e-5)
-        assert match[0].d_out == pytest.approx(0.8667, abs=5e-5)
+        assert filters.pair_filter(blocks, "EtoB").violated
+        d_in, d_out = pair_norms_by_label(blocks, "EtoB")["pair (0,0) - (1,1)"]
+        assert d_in == pytest.approx(0.4131, abs=5e-5)
+        assert d_out == pytest.approx(0.8667, abs=5e-5)
 
     def test_ghz_passes_both_directions(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
         for direction in filters.DIRECTIONS:
             report = filters.pair_filter(blocks, direction)
             assert report.verdict == "Passed"
-            assert report.witnesses == []
+            assert (report.violations, report.witness) == (0, None)
             assert report.evaluated == 7
 
     def test_example2_asymmetric_ruled_out_btoe_only(self):
@@ -64,10 +69,9 @@ class TestPairFilter:
         blocks = states.extract_blocks(states.build_fixture("example2", a=a, b=b))
         btoe = filters.pair_filter(blocks, "BtoE")
         assert btoe.verdict == "RuledOut"
-        diag = [w for w in btoe.witnesses if w.label == "pair (0,0) - (1,1)"]
-        assert len(diag) == 1
-        assert diag[0].d_in == pytest.approx(2 * a * b)
-        assert diag[0].d_out == pytest.approx(a * a + b * b)
+        d_in, d_out = pair_norms_by_label(blocks, "BtoE")["pair (0,0) - (1,1)"]
+        assert d_in == pytest.approx(2 * a * b)
+        assert d_out == pytest.approx(a * a + b * b)
         assert filters.pair_filter(blocks, "EtoB").verdict == "Passed"
 
     def test_example2_symmetric_passes(self):
@@ -81,14 +85,23 @@ class TestPairFilter:
         )
         etob = filters.pair_filter(blocks, "EtoB")
         assert etob.verdict == "RuledOut"
-        assert len(etob.witnesses) == 4
+        assert etob.violations == 4
         assert filters.pair_filter(blocks, "BtoE").verdict == "RuledOut"
 
-    def test_violations_sorted_by_margin(self):
-        blocks = states.extract_blocks(depolarizing_lift_state(0.1))
+    @pytest.mark.parametrize("eps", [0.1, 0.2])
+    def test_witness_is_the_strongest_violator(self, eps):
+        blocks = states.extract_blocks(depolarizing_lift_state(eps))
         report = filters.pair_filter(blocks, "EtoB")
-        margins = [w.margin for w in report.witnesses]
-        assert margins == sorted(margins, reverse=True)
+        violators = [
+            (y - x, label)
+            for label, (x, y) in pair_norms_by_label(blocks, "EtoB").items()
+            if x < y - filters.DEFAULT_SLACK_TOL
+        ]
+        assert report.violations == len(violators) > 1
+        best = max(margin for margin, _ in violators)
+        tied = [label for margin, label in violators if margin == best]
+        assert report.witness.margin == best
+        assert report.witness.label == min(tied)
 
     def test_rejects_bad_direction(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
@@ -108,8 +121,11 @@ class TestRandomWitnessFilter:
         blocks = states.extract_blocks(depolarizing_lift_state(0.15))
         r1 = filters.random_witness_filter(blocks, "EtoB", 40, 11)
         r2 = filters.random_witness_filter(blocks, "EtoB", 40, 11)
-        assert [w.label for w in r1.witnesses] == [w.label for w in r2.witnesses]
-        assert [w.d_in for w in r1.witnesses] == [w.d_in for w in r2.witnesses]
+        assert r1.violated and r1.violations == r2.violations
+        assert (r1.witness.label, r1.witness.d_in) == (r2.witness.label, r2.witness.d_in)
+        for x, y in zip(filters._random_witnesses(blocks, "EtoB", 40, 11),
+                        filters._random_witnesses(blocks, "EtoB", 40, 11)):
+            assert np.array_equal(x, y)
 
     def test_depolarizing_eps_02_caught(self):
         blocks = states.extract_blocks(depolarizing_lift_state(0.2))
@@ -126,7 +142,7 @@ class TestRandomWitnessFilter:
         )
         report = filters.random_witness_filter(blocks, "EtoB", 500, 7)
         assert report.verdict == "RuledOut"
-        assert len(report.witnesses) == 23
+        assert report.violations == 23
 
     def test_rejects_zero_count(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
@@ -149,34 +165,60 @@ class TestRandomWitnessFilter:
         assert d_R == pytest.approx(d_S, abs=1e-9)
 
 
-def assert_same_report(batched: filters.FilterReport, loop: filters.FilterReport) -> None:
-    assert batched.direction == loop.direction
-    assert batched.verdict == loop.verdict
-    assert batched.evaluated == loop.evaluated
-    assert [w.label for w in batched.witnesses] == [w.label for w in loop.witnesses]
-    for b, w in zip(batched.witnesses, loop.witnesses):
-        assert np.array_equal(b.coefficients, w.coefficients)
-        assert b.d_in == pytest.approx(w.d_in, rel=1e-12, abs=1e-15)
-        assert b.d_out == pytest.approx(w.d_out, rel=1e-12, abs=1e-15)
+def assert_norms_match(batched: dict, loop: list) -> None:
+    """Batched (d_in, d_out) by label against every witness of a loop oracle."""
+    assert set(batched) == {w.label for w in loop}
+    for w in loop:
+        assert batched[w.label] == pytest.approx((w.d_in, w.d_out), rel=1e-12, abs=1e-15)
+
+
+def assert_reports_strongest(report: filters.FilterReport, violators: list, evaluated: int) -> None:
+    """The report counts the oracle's violators and carries the first of them."""
+    assert report.evaluated == evaluated
+    assert report.violations == len(violators)
+    assert report.verdict == ("RuledOut" if violators else "Passed")
+    if not violators:
+        assert report.witness is None
+        return
+    w, head = report.witness, violators[0]
+    assert w.label == head.label
+    assert np.array_equal(w.coefficients, head.coefficients)
+    assert w.d_in == pytest.approx(head.d_in, rel=1e-12, abs=1e-15)
+    assert w.d_out == pytest.approx(head.d_out, rel=1e-12, abs=1e-15)
+
+
+def violated(witnesses: list) -> list:
+    """The oracle witnesses past the default slack of 1e-8, in their given order."""
+    return [w for w in witnesses if w.d_in < w.d_out - 1e-8]
 
 
 def assert_filters_match_loops(state: states.TripartiteState, seed: int) -> None:
+    # A slack of -inf makes each loop return every witness, strongest first.
     blocks = states.extract_blocks(state.unit())
+    n = blocks.count
+    drawn = random_witness_coefficients_oracle(n, 60, seed)
     for direction in filters.DIRECTIONS:
-        assert_same_report(
-            filters.pair_filter(blocks, direction),
-            restrict_to_canonical_twins(pair_filter_oracle(blocks, direction), blocks.count),
+        every = restrict_to_canonical_twins(pair_filter_oracle(blocks, direction, -np.inf), n)
+        assert_norms_match(pair_norms_by_label(blocks, direction), every)
+        assert_reports_strongest(
+            filters.pair_filter(blocks, direction), violated(every), len(every)
         )
-        assert_same_report(
-            filters.random_witness_filter(blocks, direction, 60, seed),
-            random_witness_filter_oracle(blocks, direction, 60, seed),
+
+        every = random_witness_filter_oracle(blocks, direction, 60, seed, -np.inf)
+        _, d_in, d_out = filters._random_witnesses(blocks, direction, 60, seed)
+        assert_norms_match(
+            {label: (x, y) for (_, label), x, y in zip(drawn, d_in, d_out)}, every
+        )
+        assert_reports_strongest(
+            filters.random_witness_filter(blocks, direction, 60, seed), violated(every), 60
         )
 
 
 class TestBatchedFiltersMatchLoops:
     """The batched filters against one-witness-at-a-time loops.
 
-    The pair filter evaluates one member of each conjugate twin pair, so it is
+    Every witness's trace norms are compared, not only the violated ones. The
+    pair filter evaluates one member of each conjugate twin pair, so it is
     compared with the full loop restricted to those members.
     """
 
@@ -202,20 +244,24 @@ class TestBatchedFiltersMatchLoops:
         state = state_from_decomposition(schur_yes_decomposition(rng(8), 8, 2, 8))
         blocks = states.extract_blocks(state.unit())
         assert not filters.pair_filter(blocks, "EtoB").violated
-        assert len(filters.pair_filter(blocks, "BtoE").witnesses) == 2422
+        assert filters.pair_filter(blocks, "BtoE").violations == 2422
         assert_filters_match_loops(state, 0)
 
     def test_chunking_leaves_the_report_unchanged(self, monkeypatch):
         state = states.TripartiteState((4, 2, 3), random_state_vector(rng(6), 24))
         blocks = states.extract_blocks(state.unit())
-        monkeypatch.setattr(filters, "DEFAULT_SLACK_TOL", -np.inf)
-        whole = filters.pair_filter(blocks, "EtoB")
+        whole = filters._pair_norms(blocks, "EtoB")
+        report = filters.pair_filter(blocks, "EtoB")
         monkeypatch.setattr(filters, "PAIR_CHUNK", 7)
-        chunked = filters.pair_filter(blocks, "EtoB")
-        assert whole.evaluated == chunked.evaluated > 7
-        assert [(w.label, w.d_in, w.d_out) for w in chunked.witnesses] == [
-            (w.label, w.d_in, w.d_out) for w in whole.witnesses
-        ]
+        chunked = filters._pair_norms(blocks, "EtoB")
+        assert len(whole[0]) > 7
+        for x, y in zip(whole, chunked):
+            assert np.array_equal(x, y)
+        again = filters.pair_filter(blocks, "EtoB")
+        assert (again.evaluated, again.violations) == (report.evaluated, report.violations)
+        assert (again.witness.label, again.witness.d_in, again.witness.d_out) == (
+            report.witness.label, report.witness.d_in, report.witness.d_out
+        )
 
     @pytest.mark.parametrize(
         "state",
@@ -226,36 +272,29 @@ class TestBatchedFiltersMatchLoops:
         ],
         ids=["generic-8-3-3", "generic-3-2-4", "schur-8-2-8"],
     )
-    def test_dropped_twins_match_their_kept_twin(self, state, monkeypatch):
-        # A slack of -inf reports every pair witness of the full loop.
-        monkeypatch.setattr(filters, "DEFAULT_SLACK_TOL", -np.inf)
+    def test_dropped_twins_match_their_kept_twin(self, state):
         blocks = states.extract_blocks(state.unit())
         n = blocks.count
         for direction in filters.DIRECTIONS:
+            # A slack of -inf makes the loop return every pair witness.
             full = pair_filter_oracle(blocks, direction, -np.inf)
-            by_label = {w.label: w for w in full.witnesses}
-            kept = {w.label for w in filters.pair_filter(blocks, direction).witnesses}
-            assert kept == {w.label for w in restrict_to_canonical_twins(full, n).witnesses}
-            dropped = [w for w in full.witnesses if w.label not in kept]
-            assert len(dropped) + len(kept) == len(full.witnesses)
+            kept = pair_norms_by_label(blocks, direction)
+            assert set(kept) == {w.label for w in restrict_to_canonical_twins(full, n)}
+            dropped = [w for w in full if w.label not in kept]
+            assert len(dropped) + len(kept) == len(full)
             for w in dropped:
-                twin = by_label[conjugate_twin_label(w.label, n)]
-                assert twin.label in kept
-                assert w.d_in == pytest.approx(twin.d_in, rel=1e-12)
-                assert w.d_out == pytest.approx(twin.d_out, rel=1e-12)
+                twin = kept[conjugate_twin_label(w.label, n)]
+                assert twin == pytest.approx((w.d_in, w.d_out), rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_random_coefficients_follow_the_draw_order(self, seed, monkeypatch):
-        # A slack of -inf reports every witness, so each drawn λ is visible.
-        monkeypatch.setattr(filters, "DEFAULT_SLACK_TOL", -np.inf)
+    def test_random_coefficients_follow_the_draw_order(self, seed):
         state = states.TripartiteState((8, 3, 3), random_state_vector(rng(3), 72))
         blocks = states.extract_blocks(state)
-        report = filters.random_witness_filter(blocks, "EtoB", 200, seed)
-        drawn = {w.label: w.coefficients for w in report.witnesses}
+        lam, _, _ = filters._random_witnesses(blocks, "EtoB", 200, seed)
         expected = random_witness_coefficients_oracle(blocks.count, 200, seed)
-        assert len(drawn) == len(expected) == 200
-        for lam, label in expected:
-            assert np.array_equal(drawn[label], lam)
+        assert len(lam) == len(expected) == 200
+        for k, (coefficients, _) in enumerate(expected):
+            assert np.array_equal(lam[k], coefficients)
 
 
 class TestWitnessProperties:

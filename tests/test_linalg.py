@@ -212,22 +212,31 @@ def test_independent_columns_spans_low_rank_matrix():
 
 
 def test_reduce_rows_consistent_and_inconsistent():
+    def least_squares_point(red):
+        return red.Q.conj().T @ red.c
+
     A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-    red = linalg.reduce_rows(A, np.array([1.0, 2.0, 3.0]))
-    assert red.rank == 2
-    assert red.inconsistency < 1e-12
+    b = np.array([1.0, 2.0, 3.0])
+    red = linalg.reduce_rows(A, b)
+    assert red.Q.shape[0] == 2
     assert np.allclose(red.Q @ red.Q.T, np.eye(2), atol=1e-12)
     x = np.array([1.0, 2.0, 7.0])
     assert np.allclose(red.Q @ x, red.c, atol=1e-12)
+    assert np.allclose(A @ least_squares_point(red), b, atol=1e-12)
 
-    red_bad = linalg.reduce_rows(A, np.array([1.0, 2.0, 4.0]))
-    assert red_bad.inconsistency > 1e-3
+    # An inconsistent system keeps its min-norm least-squares point, which misses b.
+    b_bad = np.array([1.0, 2.0, 4.0])
+    red_bad = linalg.reduce_rows(A, b_bad)
+    x_bad = least_squares_point(red_bad)
+    assert np.allclose(x_bad, np.linalg.lstsq(A, b_bad, rcond=None)[0], atol=1e-12)
+    assert np.linalg.norm(A @ x_bad - b_bad) > 1e-3
 
     # Complex rows and one right-hand side per column.
     gen = rng(2)
     Ac, X = crandn(gen, 4, 3), crandn(gen, 3, 2)
     red_c = linalg.reduce_rows(Ac, Ac @ X)
-    assert red_c.rank == 3 and red_c.inconsistency < 1e-12
+    assert red_c.Q.shape[0] == 3
+    assert np.allclose(Ac @ least_squares_point(red_c), Ac @ X, atol=1e-12)
     assert np.allclose(red_c.Q @ X, red_c.c, atol=1e-12)
 
 
