@@ -19,7 +19,7 @@ from .feasibility import (
     SolveConfig,
     decide,
 )
-from .filters import combination, pair_filter
+from .filters import pair_filter
 from .states import TripartiteState, extract_blocks
 
 DEFAULT_COND_TOL = 1e6
@@ -38,8 +38,10 @@ class QuantumChannel:
             raise ValueError(
                 f"channel must be square, got {self.kraus.in_dim} -> {self.kraus.out_dim}"
             )
+        if not all(np.all(np.isfinite(F)) for F in self.kraus.operators):
+            raise ValueError("Kraus set contains non-finite entries")
         defect = self.kraus.completeness_defect()
-        if defect > linalg.COMPLETENESS_TOL:
+        if not defect <= linalg.COMPLETENESS_TOL:
             raise ValueError(f"Kraus set is not trace preserving (defect {defect:.3g})")
 
     @property
@@ -198,8 +200,8 @@ def epsilon_scan(
         channel = depolarizing(float(eps))
         lift = lift_max_entangled(channel)
         blocks = extract_blocks(lift)
-        d_R = linalg.trace_norm(combination(blocks.R, diag)) / 2
-        d_S = linalg.trace_norm(combination(blocks.S, diag)) / 2
+        d_R = linalg.trace_norm(np.tensordot(diag, blocks.G_R, axes=2)) / 2
+        d_S = linalg.trace_norm(np.tensordot(diag, blocks.G_S, axes=2)) / 2
         if full_decide:
             verdict = decide(lift, "EtoB", config).status
         else:

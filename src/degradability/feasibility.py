@@ -8,6 +8,11 @@ Gauss–Newton finish for low-rank solutions. Kraus certificates are taken from
 the affine projection of the point the run stops on, which satisfies the
 affine constraints, trace preservation included, exactly. The solver never
 claims infeasibility; only trace-norm filter witnesses rule out.
+
+Every stage reads the block products R_uR_v* and S_uS_v* from the Gram stacks
+that ``states.extract_blocks`` forms: the filters, the rank-one witness, the
+pair equations of ``build_constraints`` and the certificate check
+``verify_channel``.
 """
 from __future__ import annotations
 
@@ -20,7 +25,6 @@ from . import linalg, rank_one
 from .filters import (
     DEFAULT_SLACK_TOL,
     FilterWitness,
-    combination,
     oriented_families,
     pair_filter,
     random_witness_filter,
@@ -321,25 +325,22 @@ def build_constraints(
     """
     if pairs not in ("all", "diagonal"):
         raise ValueError(f"pairs must be 'all' or 'diagonal', got {pairs!r}")
-    fam_in, fam_out = oriented_families(blocks, direction)
-    in_dim = fam_in[0].shape[0]
-    out_dim = fam_out[0].shape[0]
-    keep = linalg.independent_columns(np.column_stack([m.reshape(-1) for m in fam_in]))
+    oriented = oriented_families(blocks, direction)
+    in_dim = oriented.gram_in.shape[-1]
+    out_dim = oriented.gram_out.shape[-1]
+    keep = np.array(linalg.independent_columns(oriented.blocks_in.reshape(blocks.count, -1).T))
 
-    pair_list = (
-        [(u, v) for u in keep for v in keep] if pairs == "all" else [(u, u) for u in keep]
-    )
-    weights = np.array([1.0 if u == v else np.sqrt(0.5) for u, v in pair_list])
-
-    def stack(fam: list[np.ndarray]) -> np.ndarray:
-        rows = [(fam[u] @ linalg.dagger(fam[v])).reshape(-1) for u, v in pair_list]
-        return weights[:, None] * np.array(rows)
-
-    sources, images = stack(fam_in), stack(fam_out)
+    if pairs == "all":
+        us, vs = np.repeat(keep, keep.size), np.tile(keep, keep.size)
+    else:
+        us = vs = keep
+    weights = np.where(us == vs, 1.0, np.sqrt(0.5))[:, None]
+    sources = weights * oriented.gram_in[us, vs].reshape(us.size, -1)
+    images = weights * oriented.gram_out[us, vs].reshape(us.size, -1)
     reduced = linalg.reduce_rows(sources, images)
     # Each unordered pair is one complex equation per output entry; off-diagonal
-    # pairs appear twice in pair_list.
-    unordered = (len(pair_list) + len(keep)) // 2
+    # pairs appear twice among the ordered pairs (us, vs).
+    unordered = (us.size + keep.size) // 2
     return AffineSystem(
         direction=direction,
         in_dim=in_dim,
@@ -428,22 +429,21 @@ def extract_kraus(J: ChoiMatrix) -> KrausSet:
 def verify_channel(
     kraus: KrausSet, state: TripartiteState, direction: str
 ) -> float:
-    """Frobenius distance between (I ⊗ Φ)(source reduction) and the target one."""
-    blocks = extract_blocks(state)
-    fam_in, fam_out = oriented_families(blocks, direction)
-    if kraus.in_dim != fam_in[0].shape[0] or kraus.out_dim != fam_out[0].shape[0]:
+    """Frobenius distance between (I ⊗ Φ)(source reduction) and the target one.
+
+    The source reduction is the Gram stack G_in, so (I ⊗ Φ) of it is
+    Σ_s F_s G_in[u, v] F_s* over all (u, v) at once, compared with G_out.
+    """
+    oriented = oriented_families(extract_blocks(state), direction)
+    need_in, need_out = oriented.gram_in.shape[-1], oriented.gram_out.shape[-1]
+    if kraus.in_dim != need_in or kraus.out_dim != need_out:
         raise ValueError(
             f"channel maps {kraus.in_dim}->{kraus.out_dim} but blocks need "
-            f"{fam_in[0].shape[0]}->{fam_out[0].shape[0]}"
+            f"{need_in}->{need_out}"
         )
-    n = len(fam_in)
-    err = 0.0
-    for u in range(n):
-        for v in range(n):
-            got = kraus.apply(fam_in[u] @ linalg.dagger(fam_in[v]))
-            want = fam_out[u] @ linalg.dagger(fam_out[v])
-            err += float(np.linalg.norm(got - want) ** 2)
-    return float(np.sqrt(err))
+    F = np.stack(kraus.operators)[:, None, None]
+    got = (F @ oriented.gram_in @ F.conj().swapaxes(-1, -2)).sum(axis=0)
+    return float(np.linalg.norm(got - oriented.gram_out))
 
 
 def decide(
@@ -547,14 +547,14 @@ def _rank_one_witness(
 ) -> FilterWitness | None:
     """Violated pair witness matching a condition-(e) refutation, if one exists."""
     i, j = refutation.i, refutation.j
-    fam_in, fam_out = oriented_families(blocks, direction)
-    n = len(fam_in)
+    oriented = oriented_families(blocks, direction)
+    n = blocks.count
     for lam, label in (
         (_diag_diff(n, i, j), f"pair ({i},{i}) - ({j},{j})"),
         (_cross_diff(n, i, j), f"pair ({i},{j}) - ({j},{i})"),
     ):
-        d_in = linalg.trace_norm(combination(fam_in, lam)) / 2
-        d_out = linalg.trace_norm(combination(fam_out, lam)) / 2
+        d_in = linalg.trace_norm(np.tensordot(lam, oriented.gram_in, axes=2)) / 2
+        d_out = linalg.trace_norm(np.tensordot(lam, oriented.gram_out, axes=2)) / 2
         if d_in < d_out - DEFAULT_SLACK_TOL:
             return FilterWitness(
                 coefficients=lam, d_in=d_in, d_out=d_out, violated=True, label=label

@@ -60,27 +60,28 @@ class FilterReport:
         return "RuledOut" if self.violated else "Passed"
 
 
-def oriented_families(
-    blocks: BlockFamily, direction: str
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Input and output block lists for a direction: EtoB maps R to S, BtoE the reverse."""
+class Oriented(NamedTuple):
+    """A block family seen in one direction: input and output blocks and Gram stacks."""
+
+    blocks_in: np.ndarray
+    blocks_out: np.ndarray
+    gram_in: np.ndarray
+    gram_out: np.ndarray
+
+
+def oriented_families(blocks: BlockFamily, direction: str) -> Oriented:
+    """The family oriented for a direction: EtoB maps R to S, BtoE the reverse."""
     if direction == "EtoB":
-        return blocks.R, blocks.S
+        return Oriented(blocks.R, blocks.S, blocks.G_R, blocks.G_S)
     if direction == "BtoE":
-        return blocks.S, blocks.R
+        return Oriented(blocks.S, blocks.R, blocks.G_S, blocks.G_R)
     raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
-def combination(mats: list[np.ndarray], lam: np.ndarray) -> np.ndarray:
-    """M = sum_{u,v} λ_uv mats[u] mats[v]^*."""
+def combination(mats: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """M = sum_{u,v} λ_uv mats[u] mats[v]^*, formed from the raw blocks for one λ."""
     stacked = np.stack(mats)
     return np.einsum("uv,udk,vek->de", lam, stacked, stacked.conj())
-
-
-def gram_stack(mats: list[np.ndarray]) -> np.ndarray:
-    """G[u, v] = mats[u] mats[v]^*, as an (n, n, d, d) array."""
-    stacked = np.stack(mats)
-    return np.einsum("udk,vek->uvde", stacked, stacked.conj())
 
 
 def _strongest(
@@ -142,17 +143,16 @@ def _pair_index(n: int) -> _PairIndex:
 
 def _pair_norms(blocks: BlockFamily, direction: str) -> tuple[np.ndarray, np.ndarray]:
     """Trace distances d_in, d_out of every pair witness, in ``_pair_index(n)`` order."""
-    fam_in, fam_out = oriented_families(blocks, direction)
+    oriented = oriented_families(blocks, direction)
     n = blocks.count
     index = _pair_index(n)
     rows, cols = np.triu_indices(n, 1)
 
-    def atoms(fam: list[np.ndarray]) -> np.ndarray:
-        G = gram_stack(fam)
+    def atoms(G: np.ndarray) -> np.ndarray:
         ordered_atoms = G.reshape(n * n, *G.shape[2:])
         return np.concatenate([ordered_atoms, G[rows, cols] + G[cols, rows]])
 
-    mats_in, mats_out = atoms(fam_in), atoms(fam_out)
+    mats_in, mats_out = atoms(oriented.gram_in), atoms(oriented.gram_out)
     count = len(index.labels)
     d_in, d_out = np.empty(count), np.empty(count)
     for start in range(0, count, PAIR_CHUNK):
@@ -196,7 +196,7 @@ def _random_witnesses(
     """The (count, n, n) stack of drawn λ with the trace norms d_in, d_out of each."""
     if count < 1:
         raise ValueError(f"witness count must be >= 1, got {count}")
-    fam_in, fam_out = oriented_families(blocks, direction)
+    oriented = oriented_families(blocks, direction)
     n = blocks.count
     draws = np.random.default_rng(seed).standard_normal((count, 4, n))
     c = draws[:, 0] + 1j * draws[:, 1]
@@ -213,8 +213,8 @@ def _random_witnesses(
     lam[1::3] = outer(c1, ct1) + outer(ct1, c1)
     lam[2::3] = 1j * (outer(c2, ct2) - outer(ct2, c2))
 
-    d_in = linalg.trace_norms(np.tensordot(lam, gram_stack(fam_in), axes=2))
-    d_out = linalg.trace_norms(np.tensordot(lam, gram_stack(fam_out), axes=2))
+    d_in = linalg.trace_norms(np.tensordot(lam, oriented.gram_in, axes=2))
+    d_out = linalg.trace_norms(np.tensordot(lam, oriented.gram_out, axes=2))
     return lam, d_in, d_out
 
 
@@ -250,11 +250,9 @@ def contractivity_check(kraus: list[np.ndarray], sigma: np.ndarray) -> tuple[flo
         raise ValueError("empty Kraus set")
     d_in = kraus[0].shape[1]
     comp = sum(linalg.dagger(F) @ F for F in kraus)
-    if np.max(np.abs(comp - np.eye(d_in))) > linalg.COMPLETENESS_TOL:
-        raise ValueError(
-            f"Kraus set is not trace-preserving: |sum F*F - I| = "
-            f"{np.max(np.abs(comp - np.eye(d_in))):.3g}"
-        )
+    defect = np.max(np.abs(comp - np.eye(d_in)))
+    if not defect <= linalg.COMPLETENESS_TOL:
+        raise ValueError(f"Kraus set is not trace-preserving: |sum F*F - I| = {defect:.3g}")
     sigma = np.asarray(sigma, dtype=complex)
     if sigma.shape != (d_in, d_in):
         raise ValueError(f"sigma must be {d_in}x{d_in}, got {sigma.shape}")

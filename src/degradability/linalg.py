@@ -18,39 +18,8 @@ DEFAULT_HERM_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SVDFactors:
-    """Compact SVD in the transpose convention ``M = U @ diag(D) @ V.T``.
-
-    ``V`` is transposed without conjugation, so both ``U`` and ``V`` have
-    orthonormal columns and ``M = U D V^t`` exactly mirrors the factor form
-    used for the block matrices ``R_i``.
-    """
-
-    U: np.ndarray
-    D: np.ndarray
-    V: np.ndarray
-    rank: int
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.D) @ self.V.T
-
-
 def dagger(M: np.ndarray) -> np.ndarray:
     return M.conj().T
-
-
-def svd(M: np.ndarray) -> SVDFactors:
-    """Compact SVD of ``M`` without the singular values below ``DEFAULT_RANK_TOL`` · smax."""
-    M = np.asarray(M, dtype=complex)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("svd: input contains non-finite entries")
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
-    return SVDFactors(U=U[:, :rank], D=s[:rank], V=Vh[:rank].T, rank=rank)
 
 
 def trace_norm(M: np.ndarray) -> float:

@@ -16,15 +16,20 @@ from .states import BlockFamily
 
 DEFAULT_DIV_TOL = 1e-10
 DEFAULT_MATCH_TOL = 1e-8
+# Iteration budget of the PSD completion behind a condition-(e) Yes.
+COMPLETION_MAX_ITER = 5000
 
 
 @dataclass(frozen=True)
 class RankOneDecomposition:
-    """Factors R_i = u_i d_i v_i^t with unit u_i in C^q, unit v_i in C^p, d_i > 0."""
+    """Factors R_i = u_i d_i v_i^t with unit u_i in C^q, unit v_i in C^p, d_i > 0.
 
-    u: list[np.ndarray]
-    d: list[float]
-    v: list[np.ndarray]
+    Entry i of ``u``, ``d`` and ``v`` belongs to R_i.
+    """
+
+    u: np.ndarray
+    d: np.ndarray
+    v: np.ndarray
 
     @property
     def count(self) -> int:
@@ -73,21 +78,23 @@ class TwoWayCertificate:
 
 
 def detect_rank_one(blocks: BlockFamily) -> RankOneDecomposition | None:
-    """Rank-one factors of every R_i, or None if any block fails the test."""
-    u, d, v = [], [], []
-    for f in blocks.svd_factors:
-        if f.rank == 0:
-            return None
-        if f.rank > 1 and f.D[1] > linalg.DEFAULT_RANK_TOL * f.D[0]:
-            return None
-        u.append(f.U[:, 0].copy())
-        d.append(float(f.D[0]))
-        v.append(f.V[:, 0].copy())
-    return RankOneDecomposition(u=u, d=d, v=v)
+    """Rank-one factors of every R_i, or None if any block fails the test.
+
+    One batched SVD covers the R stack. A block is rank one when its largest
+    singular value is positive and its second is at most
+    ``linalg.DEFAULT_RANK_TOL`` times the largest.
+    """
+    U, s, Vh = np.linalg.svd(blocks.R, full_matrices=False)
+    top = s[:, 0]
+    if not np.all(top > 0.0):
+        return None
+    if s.shape[1] > 1 and np.any(s[:, 1] > linalg.DEFAULT_RANK_TOL * top):
+        return None
+    return RankOneDecomposition(u=U[:, :, 0], d=top, v=Vh[:, 0, :])
 
 
 def check_condition_e(
-    dec: RankOneDecomposition, max_iter: int = 5000
+    dec: RankOneDecomposition,
 ) -> tuple[str, CorrelationCertificate | RankOneRefutation | None, str]:
     """Decide whether a correlation matrix C with (u_i*u_j) = (v_i*v_j) ∘ C exists.
 
@@ -135,7 +142,7 @@ def check_condition_e(
         return "Yes", cert, "all entries forced; PSD verified"
 
     mask = fixed_mask | np.eye(n, dtype=bool)
-    result = linalg.complete_psd(fixed * mask, mask, max_iter=max_iter)
+    result = linalg.complete_psd(fixed * mask, mask, max_iter=COMPLETION_MAX_ITER)
     if not result.converged:
         return (
             "Inconclusive",

@@ -4,6 +4,8 @@ A state lives in C^n (x) C^p (x) C^q with amplitudes stored lexicographically
 in ``(i, j, k)``. The slice at fixed first index, ``S_i = x[i, :, :]``, and its
 plain transpose ``R_i = S_i^t`` tile the reduced densities:
 ``tr_2(xx*) = (R_u R_v*)_{u,v}`` and ``tr_3(xx*) = (S_u S_v*)_{u,v}``.
+``extract_blocks`` forms these two Gram stacks once, and every later stage
+reads its block products from them.
 """
 from __future__ import annotations
 
@@ -60,11 +62,16 @@ class TripartiteState:
 
 @dataclass(frozen=True)
 class BlockFamily:
-    """The slices ``S_i``, their transposes ``R_i`` and the SVD factors of each ``R_i``."""
+    """The slices ``S_i`` (n, p, q), their transposes ``R_i`` (n, q, p) and their Gram stacks.
 
-    S: list[np.ndarray]
-    R: list[np.ndarray]
-    svd_factors: list[linalg.SVDFactors] = field(repr=False)
+    ``G_R[u, v] = R_u R_v*`` is (n, n, q, q) and ``G_S[u, v] = S_u S_v*`` is
+    (n, n, p, p); laid out as block matrices they are tr_2 and tr_3 of the state.
+    """
+
+    S: np.ndarray
+    R: np.ndarray
+    G_R: np.ndarray = field(repr=False)
+    G_S: np.ndarray = field(repr=False)
 
     @property
     def count(self) -> int:
@@ -79,12 +86,14 @@ class ReducedDensities:
 
 
 def extract_blocks(state: TripartiteState) -> BlockFamily:
-    """Slice the amplitude tensor into ``S_i`` in M_{p,q} and ``R_i = S_i^t``."""
-    T = state.tensor()
-    S = [np.ascontiguousarray(T[i]) for i in range(state.dims[0])]
-    R = [s.T.copy() for s in S]
-    factors = [linalg.svd(r) for r in R]
-    return BlockFamily(S=S, R=R, svd_factors=factors)
+    """Slice the amplitude tensor into ``S_i`` in M_{p,q} and ``R_i = S_i^t``.
+
+    Each Gram stack is one batched matmul over all (u, v).
+    """
+    S = state.tensor().copy()
+    R = S.transpose(0, 2, 1).copy()
+    G_R, G_S = (A[:, None] @ A.conj().transpose(0, 2, 1)[None] for A in (R, S))
+    return BlockFamily(S=S, R=R, G_R=G_R, G_S=G_S)
 
 
 def reduced_densities(state: TripartiteState) -> ReducedDensities:
@@ -98,16 +107,11 @@ def reduced_densities(state: TripartiteState) -> ReducedDensities:
 
 def assemble_pair_blocks(blocks: BlockFamily, family: str) -> np.ndarray:
     """Block matrix ``(R_u R_v*)`` (family "R", equals X2) or ``(S_u S_v*)`` ("S", X3)."""
-    mats = blocks.R if family == "R" else blocks.S if family == "S" else None
-    if mats is None:
+    G = blocks.G_R if family == "R" else blocks.G_S if family == "S" else None
+    if G is None:
         raise ValueError(f"family must be 'R' or 'S', got {family!r}")
-    n = len(mats)
-    d = mats[0].shape[0]
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for u in range(n):
-        for v in range(n):
-            out[u * d : (u + 1) * d, v * d : (v + 1) * d] = mats[u] @ linalg.dagger(mats[v])
-    return out
+    n, _, d, _ = G.shape
+    return G.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
 def build_fixture(name: str, **params: float) -> TripartiteState:

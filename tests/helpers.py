@@ -241,7 +241,7 @@ def pair_filter_oracle(blocks, direction: str, slack_tol: float = 1e-8):
     """
     from degradability import filters, linalg
 
-    fam_in, fam_out = filters.oriented_families(blocks, direction)
+    fam_in, fam_out, _, _ = filters.oriented_families(blocks, direction)
     n = blocks.count
     atoms = []
     for i in range(n):
@@ -344,7 +344,7 @@ def random_witness_filter_oracle(
     """
     from degradability import filters, linalg
 
-    fam_in, fam_out = filters.oriented_families(blocks, direction)
+    fam_in, fam_out, _, _ = filters.oriented_families(blocks, direction)
     violations = []
     for lam, label in random_witness_coefficients_oracle(blocks.count, count, seed):
         d_in = linalg.trace_norm(filters.combination(fam_in, lam))
@@ -412,3 +412,17 @@ def douglas_rachford_oracle(
             window_best = np.inf
         Z = Z + project(2 * X - Z) - X
     return it, converged, stalled, project(X), floor_needed
+
+
+def verify_channel_oracle(kraus, state, direction: str) -> float:
+    """Reference ``verify_channel``: Φ applied to each block product R_u R_v* in turn."""
+    from degradability import filters, states
+
+    fam_in, fam_out, _, _ = filters.oriented_families(states.extract_blocks(state), direction)
+    err = 0.0
+    for u in range(len(fam_in)):
+        for v in range(len(fam_in)):
+            got = kraus.apply(fam_in[u] @ fam_in[v].conj().T)
+            want = fam_out[u] @ fam_out[v].conj().T
+            err += float(np.linalg.norm(got - want) ** 2)
+    return float(np.sqrt(err))

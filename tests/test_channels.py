@@ -68,6 +68,17 @@ class TestQuantumChannel:
         with pytest.raises(ValueError, match="at least one"):
             QuantumChannel(KrausSet([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_kraus(self, bad: float) -> None:
+        # NaN compares False against any bound, so the completeness test alone
+        # would let it through.
+        F = np.eye(2, dtype=complex)
+        F[0, 1] = bad
+        with pytest.raises(ValueError, match="Kraus set contains non-finite"):
+            QuantumChannel(KrausSet([F]))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="trace-preserving"):
+            contractivity_check([F], np.eye(2))
+
     def test_completeness_bound_is_shared(self) -> None:
         # Channel inputs, contractivity checks and decide's certificate check
         # accept and reject the same Kraus sets.

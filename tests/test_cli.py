@@ -250,6 +250,18 @@ class TestAnalyzeChannel:
         assert "trace preserving" in err
         assert "defect" in err
 
+    def test_non_finite_kraus_file_exits_one(self, tmp_path: Path, capsys) -> None:
+        obj = jsonio.channel_to_obj(depolarizing(0.2))
+        text = jsonio.dumps(obj).replace("[0,0]", "[NaN,0]", 1)
+        assert "NaN" in text
+        path = tmp_path / "c.json"
+        path.write_text(text, encoding="utf-8")
+        rc = main(["analyze-channel", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Kraus set contains non-finite entries" in err
+        assert "amplitudes" not in err
+
     def test_channel_reports_byte_identical(self, tmp_path: Path) -> None:
         path = write_channel(tmp_path / "c.json", depolarizing(0.3))
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

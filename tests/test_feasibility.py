@@ -1,7 +1,7 @@
 """Tests for the Choi-matrix feasibility engine and the decide pipeline."""
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from helpers import (
     rng,
     schur_yes_decomposition,
     state_from_decomposition,
+    verify_channel_oracle,
 )
 
 SEC4_STALL_BASELINE = 0.0606096
@@ -147,8 +148,8 @@ class TestBuildConstraints:
         n, p, q = dims
         state = states.TripartiteState(dims, random_state_vector(gen, n * p * q))
         blocks = states.extract_blocks(state)
-        blocks = states.BlockFamily(
-            S=[target_scale * M for M in blocks.S], R=blocks.R, svd_factors=blocks.svd_factors
+        blocks = replace(
+            blocks, S=target_scale * blocks.S, G_S=target_scale**2 * blocks.G_S
         )
         system = fz.build_constraints(blocks, direction)
         dim = system.in_dim * system.out_dim
@@ -189,6 +190,24 @@ class TestBuildConstraints:
         full = fz.build_constraints(blocks, "EtoB", pairs="all")
         diag = fz.build_constraints(blocks, "EtoB", pairs="diagonal")
         assert diag.raw_rows < full.raw_rows
+
+    def test_pair_rows_match_per_pair_products(self):
+        # Reference: the weighted rows R_u R_v* and S_u S_v* formed pair by pair.
+        alpha, a = np.sqrt(0.8), np.sqrt(0.65)
+        blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
+        for direction in ("EtoB", "BtoE"):
+            fam_in, fam_out, _, _ = filters.oriented_families(blocks, direction)
+            for pairs, pair_list in (
+                ("all", [(u, v) for u in range(3) for v in range(3)]),
+                ("diagonal", [(u, u) for u in range(3)]),
+            ):
+                system = fz.build_constraints(blocks, direction, pairs=pairs)
+                for fam, rows in ((fam_in, system.sources), (fam_out, system.images)):
+                    want = np.array([
+                        (1.0 if u == v else np.sqrt(0.5)) * (fam[u] @ fam[v].conj().T).ravel()
+                        for u, v in pair_list
+                    ])
+                    np.testing.assert_allclose(rows, want, rtol=0, atol=1e-15)
 
     def test_dependent_source_blocks_are_reduced_consistently(self):
         # S2 = S0 + S1 forces R2 = R0 + R1; only two blocks generate pairs.
@@ -502,6 +521,18 @@ class TestVerifyChannel:
         ks = fz.KrausSet([np.eye(3, dtype=complex)])
         with pytest.raises(ValueError, match="channel maps"):
             fz.verify_channel(ks, ghz, "EtoB")
+
+    def test_batched_form_matches_pair_loop(self):
+        gen = rng(23)
+        for dims in [(1, 2, 2), (2, 2, 3), (3, 3, 2), (4, 2, 2), (5, 3, 3)]:
+            n, p, q = dims
+            state = states.TripartiteState(dims, random_state_vector(gen, n * p * q))
+            for direction, (d_in, d_out) in (("EtoB", (q, p)), ("BtoE", (p, q))):
+                for r in (2, 3):
+                    ks = fz.KrausSet(random_kraus(gen, d_out, d_in, r))
+                    want = verify_channel_oracle(ks, state, direction)
+                    got = fz.verify_channel(ks, state, direction)
+                    assert abs(got - want) <= 1e-13 * want, (dims, direction, r)
 
 
 class TestDecide:

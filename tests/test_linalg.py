@@ -9,32 +9,6 @@ from degradability import feasibility, linalg, states
 from helpers import crandn, partial_trace_oracle, random_unitary, rng
 
 
-def test_svd_identity():
-    f = linalg.svd(np.eye(2))
-    assert f.rank == 2
-    assert np.allclose(f.D, [1.0, 1.0])
-    assert np.allclose(f.U @ f.V.T, np.eye(2), atol=1e-12)
-
-
-def test_svd_transpose_convention_reconstructs_complex():
-    gen = rng(11)
-    for rows, cols in [(5, 3), (3, 5), (4, 4)]:
-        M = crandn(gen, rows, cols)
-        f = linalg.svd(M)
-        assert np.linalg.norm(f.reconstruct() - M) <= 1e-10 * np.linalg.norm(M)
-        # both factors have orthonormal columns; V is unconjugated-transpose style
-        assert np.allclose(f.U.conj().T @ f.U, np.eye(f.rank), atol=1e-12)
-        assert np.allclose(f.V.conj().T @ f.V, np.eye(f.rank), atol=1e-12)
-
-
-def test_svd_rank_truncation():
-    u = np.array([1.0, 0.0])
-    M = np.outer(u, u) + 1e-14 * np.outer([0, 1.0], [0, 1.0])
-    f = linalg.svd(M)
-    assert f.rank == 1
-    assert linalg.svd(np.zeros((3, 2))).rank == 0
-
-
 def test_svd_depolarizing_difference_singular_values():
     # R0 R0* - R1 R1* for the depolarizing lift has singular values
     # (2ab, 2ab, 2b^2, 2b^2) with a = sqrt(1-eps), b = sqrt(eps/3).
@@ -43,14 +17,9 @@ def test_svd_depolarizing_difference_singular_values():
     S0 = np.array([[a, b, 0, 0], [0, 0, b, b]])
     S1 = np.array([[0, 0, -b, b], [a, -b, 0, 0]])
     R0, R1 = S0.T, S1.T
-    D = linalg.svd(R0 @ R0.conj().T - R1 @ R1.conj().T).D
+    D = np.linalg.svd(R0 @ R0.conj().T - R1 @ R1.conj().T, compute_uv=False)
     expected = np.sort([2 * a * b, 2 * a * b, 2 * b * b, 2 * b * b])[::-1]
     assert np.allclose(D, expected, atol=1e-12)
-
-
-def test_svd_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        linalg.svd(np.array([[np.nan, 0], [0, 1]]))
 
 
 def test_trace_norm_diagonal():
@@ -77,7 +46,8 @@ def test_trace_norm_matches_svd_sum():
     gen = rng(17)
     for _ in range(20):
         M = crandn(gen, 5, 3)
-        assert linalg.trace_norm(M) == pytest.approx(linalg.svd(M).D.sum(), abs=1e-10)
+        singular_values = np.linalg.svd(M, compute_uv=False)
+        assert linalg.trace_norm(M) == pytest.approx(singular_values.sum(), abs=1e-10)
 
 
 def test_hermitian_eig_diag():

@@ -58,6 +58,23 @@ class TestDetect:
         blocks = states.extract_blocks(states.TripartiteState((2, 2, 2), x))
         assert rank_one.detect_rank_one(blocks) is None
 
+    def test_rank_truncation(self):
+        # A block counts as rank one when its second singular value is at most
+        # linalg.DEFAULT_RANK_TOL times its first; a zero block is not rank one.
+        def detect(second: float, first_block: float = 1.0):
+            T = np.zeros((2, 2, 3), dtype=complex)
+            T[0, 0, 0], T[0, 1, 1] = first_block, second
+            T[1] = np.outer([1.0, 1.0j], [1.0, 0.0, 2.0])
+            state = states.TripartiteState((2, 2, 3), T)
+            return rank_one.detect_rank_one(states.extract_blocks(state))
+
+        dec = detect(1e-14)
+        assert dec is not None
+        assert dec.d[0] == pytest.approx(1.0)
+        assert np.allclose(np.abs(dec.u[0]), [1, 0, 0])
+        assert detect(1e-9) is None
+        assert detect(0.0, first_block=0.0) is None
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_product_state_recovered(self, seed):

@@ -57,7 +57,8 @@ class TestExtractBlocks:
         assert np.allclose(blocks.S[0], [[s, 0], [0, 0]])
         assert np.allclose(blocks.S[1], [[0, 0], [0, s]])
         assert np.allclose(blocks.R[0], blocks.S[0].T)
-        assert blocks.svd_factors[0].rank == 1
+        assert np.allclose(blocks.G_R[0, 0], [[0.5, 0], [0, 0]])
+        assert np.allclose(blocks.G_R[0, 1], 0)
 
     def test_example2_slices(self):
         a = b = 0.5
@@ -149,6 +150,16 @@ class TestAssemblyIdentity:
         red = states.reduced_densities(st_)
         assert np.allclose(states.assemble_pair_blocks(blocks, "R"), red.X2, atol=1e-12)
         assert np.allclose(states.assemble_pair_blocks(blocks, "S"), red.X3, atol=1e-12)
+        # The stored Gram stacks are the tiles: G_R[u, v] = R_u R_v* is block
+        # (u, v) of X2, and G_S[u, v] = S_u S_v* is block (u, v) of X3.
+        families = ((blocks.G_R, blocks.R, red.X2, q), (blocks.G_S, blocks.S, red.X3, p))
+        for G, mats, X, d in families:
+            assert G.shape == (n, n, d, d)
+            for u in range(n):
+                for v in range(n):
+                    tile = X[u * d : (u + 1) * d, v * d : (v + 1) * d]
+                    assert np.allclose(G[u, v], tile, atol=1e-12)
+                    assert np.allclose(G[u, v], mats[u] @ mats[v].conj().T, atol=1e-14)
 
     def test_rejects_unknown_family(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
