@@ -7,13 +7,11 @@ from .channels import (
     QuantumChannel,
     ScanResult,
     ScanRow,
-    StinespringDilation,
     channel_degradability_test,
     depolarizing,
     epsilon_scan,
     lift_max_entangled,
     lift_prepared,
-    stinespring,
 )
 from .feasibility import (
     AffineSystem,
@@ -40,7 +38,6 @@ from .rank_one import (
     RankOneDecomposition,
     RankOneRefutation,
     check_condition_e,
-    check_two_way,
     detect_rank_one,
     kraus_from_correlation,
 )
@@ -71,13 +68,11 @@ __all__ = [
     "ScanResult",
     "ScanRow",
     "SolveConfig",
-    "StinespringDilation",
     "TripartiteState",
     "build_constraints",
     "build_fixture",
     "channel_degradability_test",
     "check_condition_e",
-    "check_two_way",
     "choi_from_kraus",
     "contractivity_check",
     "decide",
@@ -93,6 +88,5 @@ __all__ = [
     "random_witness_filter",
     "reduced_densities",
     "solve_feasibility",
-    "stinespring",
     "verify_channel",
 ]

@@ -1,10 +1,11 @@
 """Channel-level degradability via the maximally entangled lift.
 
-A square channel is dilated to an isometry, the dilation is applied to half of
-the unnormalized maximally entangled state Σ|ii⟩, and the resulting tripartite
-pure state (A, B, E) is fed to the state-level decision pipeline. A feasible
-E→B certificate transfers to every input preparation (K_A ⊗ I)|ψ_M⟩ with the
-same channel; an E→B ruling-out extends to all invertible preparations.
+A square channel with Kraus operators F_j is lifted to the tripartite pure
+state Σ_i |i⟩_A ⊗ Σ_j F_j|i⟩_B ⊗ |j⟩_E, the channel applied to half of the
+unnormalized maximally entangled state Σ|ii⟩, and the lift (A, B, E) is fed to
+the state-level decision pipeline. A feasible E→B certificate transfers to
+every input preparation (K_A ⊗ I)|ψ_M⟩ with the same channel; an E→B
+ruling-out extends to all invertible preparations.
 """
 from __future__ import annotations
 
@@ -53,19 +54,6 @@ class QuantumChannel:
 
 
 @dataclass(frozen=True)
-class StinespringDilation:
-    """Isometry V : C^n -> C^n ⊗ C^e with row index (b, j) = b·e + j."""
-
-    V: np.ndarray
-    ancilla_dim: int
-
-    def channel_action(self, rho: np.ndarray) -> np.ndarray:
-        n = self.V.shape[1]
-        W = self.V @ rho @ linalg.dagger(self.V)
-        return np.einsum("bjcj->bc", W.reshape(n, self.ancilla_dim, n, self.ancilla_dim))
-
-
-@dataclass(frozen=True)
 class InputPreparation:
     """Local filter K applied on subsystem A before the channel acts."""
 
@@ -84,21 +72,8 @@ class InputPreparation:
         return bool(np.isfinite(self.condition_number()) and self.condition_number() <= DEFAULT_COND_TOL)
 
 
-def stinespring(channel: QuantumChannel) -> StinespringDilation:
-    """Canonical dilation V = Σ_j F_j ⊗ |j⟩ stacking the Kraus operators."""
-    n = channel.dim
-    e = channel.kraus.r
-    V = np.zeros((n * e, n), dtype=complex)
-    for j, F in enumerate(channel.kraus.operators):
-        V[j::e, :] = F
-    defect = float(np.max(np.abs(linalg.dagger(V) @ V - np.eye(n))))
-    if defect > 1e-10:
-        raise ValueError(f"dilation is not an isometry (defect {defect:.3g})")
-    return StinespringDilation(V=V, ancilla_dim=e)
-
-
 def lift_max_entangled(channel: QuantumChannel) -> TripartiteState:
-    """Tripartite pure state (I_A ⊗ V) Σ_i |ii⟩, dims (n, n, e), norm² = n."""
+    """Tripartite pure state Σ_ij |i⟩ ⊗ F_j|i⟩ ⊗ |j⟩, dims (n, n, r), norm² = n."""
     F_stack = np.stack(channel.kraus.operators)
     T = np.transpose(F_stack, (2, 1, 0))
     n = channel.dim
@@ -106,7 +81,7 @@ def lift_max_entangled(channel: QuantumChannel) -> TripartiteState:
 
 
 def lift_prepared(channel: QuantumChannel, prep: InputPreparation) -> TripartiteState:
-    """Lift of the filtered input (K_A ⊗ I) Σ_i |ii⟩ through the dilation."""
+    """Lift of the filtered input (K_A ⊗ I) Σ_i |ii⟩: amplitudes Σ_i K_ai F_j[b, i]."""
     if prep.K.shape[0] != channel.dim:
         raise ValueError(
             f"preparation dimension {prep.K.shape[0]} does not match channel {channel.dim}"

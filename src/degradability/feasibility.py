@@ -255,15 +255,6 @@ class ChoiMatrix:
         if herm > 1e-10:
             raise ValueError(f"Choi matrix is not Hermitian (defect {herm:.3g})")
 
-    def apply(self, A: np.ndarray) -> np.ndarray:
-        """Φ(A)_ab = Σ_kl A_kl J[(k,a),(l,b)]."""
-        J4 = self.matrix.reshape(self.in_dim, self.out_dim, self.in_dim, self.out_dim)
-        return np.einsum("kl,kalb->ab", A, J4)
-
-    def trace_out_output(self) -> np.ndarray:
-        J4 = self.matrix.reshape(self.in_dim, self.out_dim, self.in_dim, self.out_dim)
-        return np.einsum("kala->kl", J4)
-
 
 @dataclass(frozen=True)
 class KrausSet:
@@ -298,7 +289,6 @@ class FeasibilityOutcome:
     iterations: int = 0
     certificate: KrausSet | None = None
     filter_witness: FilterWitness | None = None
-    choi: ChoiMatrix | None = field(default=None, repr=False)
     detail: str = ""
 
 
@@ -378,13 +368,6 @@ def solve_feasibility(
         max_iter=config.max_iter,
         finish=system.kraus_newton,
     )
-    def wrap(X: np.ndarray) -> ChoiMatrix:
-        return ChoiMatrix(
-            matrix=(X + linalg.dagger(X)) / 2,
-            in_dim=system.in_dim,
-            out_dim=system.out_dim,
-        )
-
     detail = _STOP_DETAIL[result.stop].format(result.iterations)
     if not result.converged:
         return FeasibilityOutcome(
@@ -393,11 +376,12 @@ def solve_feasibility(
             residual_affine=result.residual_affine,
             residual_psd=result.residual_psd,
             iterations=result.iterations,
-            choi=wrap(result.point),
             detail=detail,
         )
-    J = wrap(result.affine_point)
-    kraus = extract_kraus(J)
+    X = result.affine_point
+    kraus = extract_kraus(
+        ChoiMatrix((X + linalg.dagger(X)) / 2, system.in_dim, system.out_dim)
+    )
     return FeasibilityOutcome(
         status="Feasible",
         stage="sdp",
@@ -405,7 +389,6 @@ def solve_feasibility(
         residual_psd=result.residual_psd,
         iterations=result.iterations,
         certificate=kraus,
-        choi=J,
         detail=detail,
     )
 
@@ -524,7 +507,6 @@ def _decide_rank_one(
                 status="Feasible",
                 stage="rank_one",
                 certificate=kraus,
-                choi=choi_from_kraus(kraus),
                 detail=f"condition (e): {reason}; {note}",
             )
         return None

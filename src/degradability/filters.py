@@ -248,6 +248,8 @@ def contractivity_check(kraus: list[np.ndarray], sigma: np.ndarray) -> tuple[flo
     """Trace norms of sigma before and after the channel; after may not exceed before."""
     if not kraus:
         raise ValueError("empty Kraus set")
+    if not all(np.all(np.isfinite(F)) for F in kraus):
+        raise ValueError("Kraus set contains non-finite entries")
     d_in = kraus[0].shape[1]
     comp = sum(linalg.dagger(F) @ F for F in kraus)
     defect = np.max(np.abs(comp - np.eye(d_in)))

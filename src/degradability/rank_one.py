@@ -2,8 +2,7 @@
 
 With R_i = u_i d_i v_i^t, a channel taking {R_u R_v*} to {S_u S_v*} exists
 iff the Gram matrices satisfy (u_i*u_j) = (v_i*v_j) ∘ C for some correlation
-matrix C (Hermitian, unit diagonal, PSD). Two-way degradability further
-forces C to be a diagonal-unitary conjugation, i.e. C_ij = e^{i(θ_j - θ_i)}.
+matrix C (Hermitian, unit diagonal, PSD).
 """
 from __future__ import annotations
 
@@ -67,30 +66,22 @@ class RankOneRefutation:
     j: int
 
 
-@dataclass(frozen=True)
-class TwoWayCertificate:
-    """Phases θ (θ_0 = 0) of the diagonal unitary E = diag(e^{iθ})."""
-
-    phases: np.ndarray
-
-    def diagonal_unitary(self) -> np.ndarray:
-        return np.diag(np.exp(1j * self.phases))
-
-
 def detect_rank_one(blocks: BlockFamily) -> RankOneDecomposition | None:
     """Rank-one factors of every R_i, or None if any block fails the test.
 
-    One batched SVD covers the R stack. A block is rank one when its largest
-    singular value is positive and its second is at most
-    ``linalg.DEFAULT_RANK_TOL`` times the largest.
+    A block is rank one when its largest singular value is positive and its
+    second is at most ``linalg.DEFAULT_RANK_TOL`` times the largest. The rule
+    reads the singular values of the R stack alone; only a family that passes
+    pays for the singular vectors.
     """
-    U, s, Vh = np.linalg.svd(blocks.R, full_matrices=False)
+    s = np.linalg.svd(blocks.R, compute_uv=False)
     top = s[:, 0]
     if not np.all(top > 0.0):
         return None
     if s.shape[1] > 1 and np.any(s[:, 1] > linalg.DEFAULT_RANK_TOL * top):
         return None
-    return RankOneDecomposition(u=U[:, :, 0], d=top, v=Vh[:, 0, :])
+    U, s, Vh = np.linalg.svd(blocks.R, full_matrices=False)
+    return RankOneDecomposition(u=U[:, :, 0], d=s[:, 0], v=Vh[:, 0, :])
 
 
 def check_condition_e(
@@ -159,51 +150,6 @@ def check_condition_e(
         )
     cert = CorrelationCertificate(C=C, fixed_mask=fixed_mask, completed=True)
     return "Yes", cert, f"completed in {result.iterations} iterations"
-
-
-def check_two_way(dec: RankOneDecomposition) -> tuple[str, TwoWayCertificate | None, str]:
-    """Decide whether (u_i*u_j) = E*(v_i*v_j)E for a diagonal unitary E."""
-    n = dec.count
-    G_u = dec.gram_u()
-    G_v = dec.gram_v()
-    mismatch = np.abs(np.abs(G_u) - np.abs(G_v))
-    if np.max(mismatch) > DEFAULT_MATCH_TOL:
-        i, j = np.unravel_index(np.argmax(mismatch), mismatch.shape)
-        return (
-            "No",
-            None,
-            f"|u-Gram| != |v-Gram| at ({i},{j}): "
-            f"{abs(G_u[i, j]):.6g} vs {abs(G_v[i, j]):.6g}",
-        )
-
-    theta = np.zeros(n)
-    seen = np.zeros(n, dtype=bool)
-    adjacency = (np.abs(G_u) > DEFAULT_DIV_TOL) & ~np.eye(n, dtype=bool)
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            i = queue.pop(0)
-            for j in np.nonzero(adjacency[i])[0]:
-                if seen[j]:
-                    continue
-                theta[j] = np.mod(
-                    theta[i] + np.angle(G_u[i, j]) - np.angle(G_v[i, j]), 2 * np.pi
-                )
-                seen[j] = True
-                queue.append(int(j))
-
-    phase = np.exp(1j * theta)
-    residual = np.max(np.abs(G_u - np.outer(phase.conj(), phase) * G_v))
-    if residual > DEFAULT_MATCH_TOL:
-        return (
-            "No",
-            None,
-            f"phase assignment inconsistent on a cycle (residual {residual:.3g})",
-        )
-    return "Yes", TwoWayCertificate(phases=theta), f"residual {residual:.3g}"
 
 
 def kraus_from_correlation(

@@ -105,15 +105,6 @@ def reduced_densities(state: TripartiteState) -> ReducedDensities:
     )
 
 
-def assemble_pair_blocks(blocks: BlockFamily, family: str) -> np.ndarray:
-    """Block matrix ``(R_u R_v*)`` (family "R", equals X2) or ``(S_u S_v*)`` ("S", X3)."""
-    G = blocks.G_R if family == "R" else blocks.G_S if family == "S" else None
-    if G is None:
-        raise ValueError(f"family must be 'R' or 'S', got {family!r}")
-    n, _, d, _ = G.shape
-    return G.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-
-
 def build_fixture(name: str, **params: float) -> TripartiteState:
     """Named reference states: ``ghz``, ``example2(a, b)``, ``sec4(alpha, a)``, ``bell_lift``."""
     if name == "ghz":

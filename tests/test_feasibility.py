@@ -15,6 +15,8 @@ from degradability.filters import pair_filter, random_witness_filter
 
 from helpers import (
     brute_force_feasibility,
+    choi_apply,
+    choi_trace_out,
     crandn,
     depolarizing_lift_state,
     douglas_rachford_oracle,
@@ -86,16 +88,16 @@ class TestChoiMatrix:
     def test_identity_channel_choi_acts_as_identity(self):
         J = fz.choi_from_kraus(fz.KrausSet([np.eye(3, dtype=complex)]))
         M = crandn(rng(0), 3, 3)
-        assert np.allclose(J.apply(M), M, atol=1e-12)
-        assert np.allclose(J.trace_out_output(), np.eye(3), atol=1e-12)
+        assert np.allclose(choi_apply(J, M), M, atol=1e-12)
+        assert np.allclose(choi_trace_out(J), np.eye(3), atol=1e-12)
 
     def test_kraus_channel_choi_matches_direct_application(self):
         gen = rng(1)
         ks = fz.KrausSet(random_kraus(gen, 2, 3, 2))
         J = fz.choi_from_kraus(ks)
         M = crandn(gen, 3, 3)
-        assert np.allclose(J.apply(M), ks.apply(M), atol=1e-12)
-        assert np.allclose(J.trace_out_output(), np.eye(3), atol=1e-8)
+        assert np.allclose(choi_apply(J, M), ks.apply(M), atol=1e-12)
+        assert np.allclose(choi_trace_out(J), np.eye(3), atol=1e-8)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="must be"):
@@ -164,9 +166,9 @@ class TestBuildConstraints:
         # The image lies in the set: Φ(Q_i) = C_i, and tr_out J = I off span Q.
         J = fz.ChoiMatrix(PX, system.in_dim, system.out_dim)
         Q = system.basis
-        images = [J.apply(row.reshape(system.in_dim, -1)).reshape(-1) for row in Q]
+        images = [choi_apply(J, row.reshape(system.in_dim, -1)).reshape(-1) for row in Q]
         assert np.allclose(images, system.fitted, atol=1e-10)
-        g = (J.trace_out_output() - np.eye(system.in_dim)).reshape(-1)
+        g = (choi_trace_out(J) - np.eye(system.in_dim)).reshape(-1)
         assert np.allclose(g - Q.conj().T @ (Q @ g), 0, atol=1e-10)
         assert np.allclose(system.project(PX), PX, atol=1e-10)
         inner = np.vdot(X - PX, PY - PX).real
@@ -274,9 +276,18 @@ class TestSolveFeasibility:
                 state = planted_state(seed, n, p, e2)
                 system = fz.build_constraints(states.extract_blocks(state), "EtoB")
                 out = fz.solve_feasibility(system, config)
+                # The engine run behind the outcome: a certificate comes from
+                # its affine point, which satisfies the constraints exactly.
+                dim = system.in_dim * system.out_dim
+                run = linalg.alternating_projections(
+                    system.project_and_residual,
+                    start=np.eye(dim, dtype=complex) / system.out_dim,
+                    max_iter=config.max_iter,
+                    finish=system.kraus_newton,
+                )
+                assert run.converged == (out.status == "Feasible")
                 if out.status == "Feasible":
-                    # The certificate's Choi matrix is the exact affine point.
-                    assert system.residual(out.choi.matrix) <= 1e-12
+                    assert system.residual(run.affine_point) <= 1e-12
                     verified += fz._check_certificate(out.certificate, state, "EtoB")[0]
         assert verified >= 19
 

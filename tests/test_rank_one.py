@@ -159,58 +159,7 @@ class TestConditionE:
 
 
 class TestTwoWay:
-    def test_equal_grams_give_zero_phases(self):
-        gen = rng(1)
-        v = [unit(crandn(gen, 3)) for _ in range(3)]
-        dec = rank_one.RankOneDecomposition(u=v, d=[1.0] * 3, v=v)
-        verdict, cert, _ = rank_one.check_two_way(dec)
-        assert verdict == "Yes"
-        assert np.allclose(cert.phases, 0.0, atol=1e-12)
-
-    def test_phase_family_recovered(self):
-        gen = rng(2)
-        v = [unit(crandn(gen, 3)) for _ in range(3)]
-        phi = np.array([0.0, 0.8, 2.4])
-        u = [np.exp(1j * phi[i]) * v[i] for i in range(3)]
-        dec = rank_one.RankOneDecomposition(u=u, d=[1.0] * 3, v=v)
-        verdict, cert, _ = rank_one.check_two_way(dec)
-        assert verdict == "Yes"
-        assert cert.phases[0] == 0.0
-        got = np.exp(1j * (cert.phases - cert.phases[0]))
-        want = np.exp(1j * (phi - phi[0]))
-        assert np.allclose(got, want, atol=1e-9)
-        E = cert.diagonal_unitary()
-        resid = dec.gram_u() - linalg.dagger(E) @ dec.gram_v() @ E
-        assert np.max(np.abs(resid)) < 1e-9
-
-    def test_modulus_mismatch_is_no(self):
-        u = [np.array([1.0, 0.0]), unit(np.array([1.0, 1.0]))]
-        v = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        dec = rank_one.RankOneDecomposition(u=u, d=[1.0, 1.0], v=v)
-        verdict, cert, reason = rank_one.check_two_way(dec)
-        assert verdict == "No"
-        assert cert is None
-        assert "|u-Gram| != |v-Gram|" in reason
-
-    def test_cycle_inconsistency_is_no(self):
-        r = 0.3
-        G_v = np.full((3, 3), r, dtype=complex)
-        np.fill_diagonal(G_v, 1.0)
-        theta = np.array([[0, 0, -0.1], [0, 0, 0], [0.1, 0, 0]])
-        G_u = G_v * np.exp(1j * theta)
-
-        def realize(G):
-            w, W = np.linalg.eigh(G)
-            assert w.min() > 0
-            M = np.sqrt(w)[:, None] * W.conj().T
-            return [M[:, i] for i in range(3)]
-
-        dec = rank_one.RankOneDecomposition(
-            u=realize(G_u), d=[1.0] * 3, v=realize(G_v)
-        )
-        verdict, _, reason = rank_one.check_two_way(dec)
-        assert verdict == "No"
-        assert "cycle" in reason
+    """Phase families u_i = e^{iφ_i} v_i, which are degradable both ways."""
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -221,8 +170,6 @@ class TestTwoWay:
         phi = gen.uniform(0, 2 * np.pi, n)
         u = [np.exp(1j * phi[i]) * v[i] for i in range(n)]
         dec = rank_one.RankOneDecomposition(u=u, d=[1.0] * n, v=v)
-        verdict, _, _ = rank_one.check_two_way(dec)
-        assert verdict == "Yes"
         assert rank_one.check_condition_e(dec)[0] == "Yes"
         assert rank_one.check_condition_e(dec.swapped())[0] == "Yes"
 

@@ -148,8 +148,6 @@ class TestAssemblyIdentity:
         st_ = states.TripartiteState((n, p, q), x, normalized=True)
         blocks = states.extract_blocks(st_)
         red = states.reduced_densities(st_)
-        assert np.allclose(states.assemble_pair_blocks(blocks, "R"), red.X2, atol=1e-12)
-        assert np.allclose(states.assemble_pair_blocks(blocks, "S"), red.X3, atol=1e-12)
         # The stored Gram stacks are the tiles: G_R[u, v] = R_u R_v* is block
         # (u, v) of X2, and G_S[u, v] = S_u S_v* is block (u, v) of X3.
         families = ((blocks.G_R, blocks.R, red.X2, q), (blocks.G_S, blocks.S, red.X3, p))
@@ -160,11 +158,6 @@ class TestAssemblyIdentity:
                     tile = X[u * d : (u + 1) * d, v * d : (v + 1) * d]
                     assert np.allclose(G[u, v], tile, atol=1e-12)
                     assert np.allclose(G[u, v], mats[u] @ mats[v].conj().T, atol=1e-14)
-
-    def test_rejects_unknown_family(self):
-        blocks = states.extract_blocks(states.build_fixture("ghz"))
-        with pytest.raises(ValueError, match="family"):
-            states.assemble_pair_blocks(blocks, "T")
 
 
 class TestFixtureValidation:
