@@ -15,7 +15,6 @@ from .channels import (
 )
 from .feasibility import (
     AffineSystem,
-    ChoiMatrix,
     FeasibilityOutcome,
     KrausSet,
     SolveConfig,
@@ -55,7 +54,6 @@ __all__ = [
     "AffineSystem",
     "BlockFamily",
     "ChannelAssessment",
-    "ChoiMatrix",
     "CorrelationCertificate",
     "FeasibilityOutcome",
     "FilterReport",

@@ -7,12 +7,13 @@ Douglas–Rachford splitting between the two sets, with a Kraus-form
 Gauss–Newton finish for low-rank solutions. Kraus certificates are taken from
 the affine projection of the point the run stops on, which satisfies the
 affine constraints, trace preservation included, exactly. The solver never
-claims infeasibility; only trace-norm filter witnesses rule out.
+claims infeasibility; only trace-norm witnesses rule out, and ``filters``
+builds every one of them and holds the rule that calls one violated, the
+witness behind a rank-one No included.
 
 Every stage reads the block products R_uR_v* and S_uS_v* from the Gram stacks
-that ``states.extract_blocks`` forms: the filters, the rank-one witness, the
-pair equations of ``build_constraints`` and the certificate check
-``verify_channel``.
+that ``states.extract_blocks`` forms: the filters, the pair equations of
+``build_constraints`` and the certificate check ``verify_channel``.
 """
 from __future__ import annotations
 
@@ -23,11 +24,11 @@ import numpy as np
 
 from . import linalg, rank_one
 from .filters import (
-    DEFAULT_SLACK_TOL,
     FilterWitness,
     oriented_families,
     pair_filter,
     random_witness_filter,
+    refutation_filter,
 )
 from .states import BlockFamily, TripartiteState, extract_blocks
 
@@ -84,7 +85,6 @@ class AffineSystem:
     J = K K* onto the set by Gauss–Newton steps on K.
     """
 
-    direction: str
     in_dim: int
     out_dim: int
     sources: np.ndarray = field(repr=False)
@@ -240,23 +240,6 @@ class AffineSystem:
 
 
 @dataclass(frozen=True)
-class ChoiMatrix:
-    """J = Σ_kl E_kl^in ⊗ Φ(E_kl); row index (k, a) = k·out_dim + a."""
-
-    matrix: np.ndarray
-    in_dim: int
-    out_dim: int
-
-    def __post_init__(self) -> None:
-        d = self.in_dim * self.out_dim
-        if self.matrix.shape != (d, d):
-            raise ValueError(f"Choi matrix must be {d}x{d}, got {self.matrix.shape}")
-        herm = float(np.max(np.abs(self.matrix - linalg.dagger(self.matrix))))
-        if herm > 1e-10:
-            raise ValueError(f"Choi matrix is not Hermitian (defect {herm:.3g})")
-
-
-@dataclass(frozen=True)
 class KrausSet:
     operators: list[np.ndarray]
 
@@ -292,14 +275,14 @@ class FeasibilityOutcome:
     detail: str = ""
 
 
-def choi_from_kraus(kraus: KrausSet) -> ChoiMatrix:
-    """J = Σ_j vec'(F_j) vec'(F_j)* under the (input slow, output fast) convention."""
+def choi_from_kraus(kraus: KrausSet) -> np.ndarray:
+    """J = Σ_j vec'(F_j) vec'(F_j)*, row index (k, a) = k·out_dim + a (input slow)."""
     d = kraus.in_dim * kraus.out_dim
     J = np.zeros((d, d), dtype=complex)
     for F in kraus.operators:
         w = F.T.reshape(-1)
         J += np.outer(w, w.conj())
-    return ChoiMatrix(matrix=J, in_dim=kraus.in_dim, out_dim=kraus.out_dim)
+    return J
 
 
 def build_constraints(
@@ -327,18 +310,17 @@ def build_constraints(
     weights = np.where(us == vs, 1.0, np.sqrt(0.5))[:, None]
     sources = weights * oriented.gram_in[us, vs].reshape(us.size, -1)
     images = weights * oriented.gram_out[us, vs].reshape(us.size, -1)
-    reduced = linalg.reduce_rows(sources, images)
+    basis, fitted = linalg.reduce_rows(sources, images)
     # Each unordered pair is one complex equation per output entry; off-diagonal
     # pairs appear twice among the ordered pairs (us, vs).
     unordered = (us.size + keep.size) // 2
     return AffineSystem(
-        direction=direction,
         in_dim=in_dim,
         out_dim=out_dim,
         sources=sources,
         images=images,
-        basis=reduced.Q,
-        fitted=reduced.c,
+        basis=basis,
+        fitted=fitted,
         raw_rows=in_dim * (in_dim + 1) + 2 * unordered * out_dim * out_dim,
     )
 
@@ -378,10 +360,7 @@ def solve_feasibility(
             iterations=result.iterations,
             detail=detail,
         )
-    X = result.affine_point
-    kraus = extract_kraus(
-        ChoiMatrix((X + linalg.dagger(X)) / 2, system.in_dim, system.out_dim)
-    )
+    kraus = extract_kraus(result.affine_point, system.in_dim, system.out_dim)
     return FeasibilityOutcome(
         status="Feasible",
         stage="sdp",
@@ -393,9 +372,16 @@ def solve_feasibility(
     )
 
 
-def extract_kraus(J: ChoiMatrix) -> KrausSet:
-    """Kraus operators from the eigendecomposition of a (near-)PSD Choi matrix."""
-    w, V = linalg.hermitian_eig(J.matrix)
+def extract_kraus(J: np.ndarray, in_dim: int, out_dim: int) -> KrausSet:
+    """Kraus operators of a (near-)PSD Choi matrix J laid out as by ``choi_from_kraus``.
+
+    J must be (in_dim·out_dim)-square; ``linalg.hermitian_eig`` rejects a
+    non-Hermitian J, and a materially negative eigenvalue is rejected after it.
+    """
+    d = in_dim * out_dim
+    if J.shape != (d, d):
+        raise ValueError(f"Choi matrix must be {d}x{d}, got {J.shape}")
+    w, V = linalg.hermitian_eig(J)
     top = max(float(w[0]), 0.0)
     rank_tol = linalg.DEFAULT_RANK_TOL
     if w[-1] < -max(VERIFY_TOL, 10 * rank_tol * max(top, 1.0)):
@@ -403,9 +389,9 @@ def extract_kraus(J: ChoiMatrix) -> KrausSet:
     ops = []
     for lam, vec in zip(w, V.T):
         if lam > rank_tol * max(top, 1e-300):
-            ops.append(np.sqrt(lam) * vec.reshape(J.in_dim, J.out_dim).T)
+            ops.append(np.sqrt(lam) * vec.reshape(in_dim, out_dim).T)
     if not ops:
-        ops.append(np.zeros((J.out_dim, J.in_dim), dtype=complex))
+        ops.append(np.zeros((out_dim, in_dim), dtype=complex))
     return KrausSet(operators=ops)
 
 
@@ -436,8 +422,9 @@ def decide(
 
     The state is normalized first so verdicts are scale invariant. When every
     R_i has rank one, condition (e) runs first: it settles Yes exactly with a
-    verified Kraus set, and a No refuted by one pair with a violated pair
-    witness (stage ``rank_one``). Any other rank-one result, and every family
+    verified Kraus set, and a No at entry (i, j) with the stronger violated
+    one of that entry's two pair witnesses (``filters.refutation_filter``,
+    stage ``rank_one``). Any other rank-one result, and every family
     that is not rank one, goes on to the pair filter, the random filter and
     then the Choi feasibility stage. Returns the first conclusive outcome. A
     filter's RuledOut carries the filter's strongest violated witness and
@@ -511,48 +498,12 @@ def _decide_rank_one(
             )
         return None
     if isinstance(cert, rank_one.RankOneRefutation):
-        witness = _rank_one_witness(blocks, direction, cert)
-        if witness is not None:
+        report = refutation_filter(blocks, direction, cert.i, cert.j)
+        if report.violated:
             return FeasibilityOutcome(
                 status="RuledOut",
                 stage="rank_one",
-                filter_witness=witness,
+                filter_witness=report.witness,
                 detail=f"condition (e) fails: {reason}",
             )
     return None
-
-
-def _rank_one_witness(
-    blocks: BlockFamily,
-    direction: str,
-    refutation: rank_one.RankOneRefutation,
-) -> FilterWitness | None:
-    """Violated pair witness matching a condition-(e) refutation, if one exists."""
-    i, j = refutation.i, refutation.j
-    oriented = oriented_families(blocks, direction)
-    n = blocks.count
-    for lam, label in (
-        (_diag_diff(n, i, j), f"pair ({i},{i}) - ({j},{j})"),
-        (_cross_diff(n, i, j), f"pair ({i},{j}) - ({j},{i})"),
-    ):
-        d_in = linalg.trace_norm(np.tensordot(lam, oriented.gram_in, axes=2)) / 2
-        d_out = linalg.trace_norm(np.tensordot(lam, oriented.gram_out, axes=2)) / 2
-        if d_in < d_out - DEFAULT_SLACK_TOL:
-            return FilterWitness(
-                coefficients=lam, d_in=d_in, d_out=d_out, violated=True, label=label
-            )
-    return None
-
-
-def _diag_diff(n: int, i: int, j: int) -> np.ndarray:
-    lam = np.zeros((n, n), dtype=complex)
-    lam[i, i] = 1.0
-    lam[j, j] = -1.0
-    return lam
-
-
-def _cross_diff(n: int, i: int, j: int) -> np.ndarray:
-    lam = np.zeros((n, n), dtype=complex)
-    lam[i, j] = 1.0
-    lam[j, i] = -1.0
-    return lam

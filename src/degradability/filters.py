@@ -46,7 +46,6 @@ class FilterReport:
     has the largest margin d_out - d_in, ties going to the smaller label, or is None.
     """
 
-    direction: str
     evaluated: int
     violations: int
     witness: FilterWitness | None = None
@@ -85,7 +84,6 @@ def combination(mats: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _strongest(
-    direction: str,
     d_in: np.ndarray,
     d_out: np.ndarray,
     label: Callable[[int], str],
@@ -100,7 +98,7 @@ def _strongest(
         witness = FilterWitness(
             coefficients(k), float(d_in[k]), float(d_out[k]), violated=True, label=label(k)
         )
-    return FilterReport(direction, evaluated=d_in.size, violations=hits.size, witness=witness)
+    return FilterReport(evaluated=d_in.size, violations=hits.size, witness=witness)
 
 
 class _PairIndex(NamedTuple):
@@ -114,6 +112,10 @@ class _PairIndex(NamedTuple):
     second: np.ndarray
     labels: tuple[str, ...]
     atom_coefficients: np.ndarray
+
+    def coefficients(self, k: int) -> np.ndarray:
+        """λ of witness k: atom ``first[k]`` minus atom ``second[k]``."""
+        return self.atom_coefficients[self.first[k]] - self.atom_coefficients[self.second[k]]
 
 
 @functools.lru_cache(maxsize=16)
@@ -141,11 +143,18 @@ def _pair_index(n: int) -> _PairIndex:
     return _PairIndex(a, b, labels, atom_coefficients)
 
 
-def _pair_norms(blocks: BlockFamily, direction: str) -> tuple[np.ndarray, np.ndarray]:
-    """Trace distances d_in, d_out of every pair witness, in ``_pair_index(n)`` order."""
+def _pair_norms(
+    blocks: BlockFamily, direction: str, witnesses: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trace distances d_in, d_out of the pair witnesses, in ``_pair_index(n)`` order.
+
+    ``witnesses`` picks positions in that order; the default takes every witness.
+    """
     oriented = oriented_families(blocks, direction)
     n = blocks.count
     index = _pair_index(n)
+    pick = slice(None) if witnesses is None else witnesses
+    first, second = index.first[pick], index.second[pick]
     rows, cols = np.triu_indices(n, 1)
 
     def atoms(G: np.ndarray) -> np.ndarray:
@@ -153,11 +162,11 @@ def _pair_norms(blocks: BlockFamily, direction: str) -> tuple[np.ndarray, np.nda
         return np.concatenate([ordered_atoms, G[rows, cols] + G[cols, rows]])
 
     mats_in, mats_out = atoms(oriented.gram_in), atoms(oriented.gram_out)
-    count = len(index.labels)
+    count = first.size
     d_in, d_out = np.empty(count), np.empty(count)
     for start in range(0, count, PAIR_CHUNK):
         chunk = slice(start, start + PAIR_CHUNK)
-        a, b = index.first[chunk], index.second[chunk]
+        a, b = first[chunk], second[chunk]
         d_in[chunk] = linalg.trace_norms(mats_in[a] - mats_in[b]) / 2
         d_out[chunk] = linalg.trace_norms(mats_out[a] - mats_out[b]) / 2
     return d_in, d_out
@@ -178,12 +187,25 @@ def pair_filter(blocks: BlockFamily, direction: str) -> FilterReport:
     bounded at large n. The report carries the strongest violated witness.
     """
     index = _pair_index(blocks.count)
-    atom = index.atom_coefficients
+    return _strongest(*_pair_norms(blocks, direction), index.labels.__getitem__, index.coefficients)
+
+
+def refutation_filter(blocks: BlockFamily, direction: str, i: int, j: int) -> FilterReport:
+    """The pair filter cut down to the two witnesses of entry (i, j), in either order.
+
+    For i < j these are (i,i) - (j,j) and (i,j) - (j,i), the pair witnesses
+    through which trace-norm contractivity refutes a condition-(e) failure at
+    that entry of a rank-one family. The report carries the stronger violator.
+    """
+    i, j = min(i, j), max(i, j)
+    n = blocks.count
+    index = _pair_index(n)
+    atoms = ((i * (n + 1), j * (n + 1)), (i * n + j, j * n + i))  # ordered atom (i,j) is i·n + j
+    at = np.array([np.flatnonzero((index.first == a) & (index.second == b))[0] for a, b in atoms])
     return _strongest(
-        direction,
-        *_pair_norms(blocks, direction),
-        index.labels.__getitem__,
-        lambda k: atom[index.first[k]] - atom[index.second[k]],
+        *_pair_norms(blocks, direction, at),
+        lambda k: index.labels[at[k]],
+        lambda k: index.coefficients(at[k]),
     )
 
 
@@ -236,7 +258,6 @@ def random_witness_filter(
     """
     lam, d_in, d_out = _random_witnesses(blocks, direction, count, seed)
     return _strongest(
-        direction,
         d_in,
         d_out,
         lambda k: f"random #{k} {_RANDOM_FORMS[k % 3]}",

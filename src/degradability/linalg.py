@@ -136,26 +136,17 @@ def independent_columns(M: np.ndarray) -> list[int]:
     return sorted(keep)
 
 
-@dataclass(frozen=True)
-class ReducedAffine:
-    """Least-squares solution set of ``A x = b`` rewritten as ``Q x = c``.
+def reduce_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares solution set of real or complex ``A x = b`` as ``Q x = c``, by SVD.
 
     ``Q`` has orthonormal rows spanning the row space of ``A``, so the rank is
     ``Q.shape[0]``; ``b`` and ``c`` may be vectors or matrices with one column
-    per right-hand side.
+    per right-hand side. Returns ``(Q, c)``.
     """
-
-    Q: np.ndarray
-    c: np.ndarray
-
-
-def reduce_rows(A: np.ndarray, b: np.ndarray) -> ReducedAffine:
-    """SVD row reduction of a real or complex linear system to orthonormal rows."""
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-    Q = Vh[:rank]
     c = (dagger(U[:, :rank]) / s[:rank, None]) @ b
-    return ReducedAffine(Q=Q, c=c)
+    return Vh[:rank], c
 
 
 # Ways a Douglas–Rachford run ends; the first three certify a point.

@@ -47,15 +47,15 @@ def apply_kraus(kraus: list[np.ndarray], X: np.ndarray) -> np.ndarray:
     return sum(F @ X @ F.conj().T for F in kraus)
 
 
-def choi_apply(J, A: np.ndarray) -> np.ndarray:
-    """Φ(A)_ab = Σ_kl A_kl J[(k,a),(l,b)] for a ChoiMatrix J (input index slow)."""
-    J4 = J.matrix.reshape(J.in_dim, J.out_dim, J.in_dim, J.out_dim)
+def choi_apply(J: np.ndarray, in_dim: int, out_dim: int, A: np.ndarray) -> np.ndarray:
+    """Φ(A)_ab = Σ_kl A_kl J[(k,a),(l,b)] for a Choi matrix J (input index slow)."""
+    J4 = J.reshape(in_dim, out_dim, in_dim, out_dim)
     return np.einsum("kl,kalb->ab", A, J4)
 
 
-def choi_trace_out(J) -> np.ndarray:
-    """tr_out J of a ChoiMatrix J; the identity for a trace-preserving map."""
-    J4 = J.matrix.reshape(J.in_dim, J.out_dim, J.in_dim, J.out_dim)
+def choi_trace_out(J: np.ndarray, in_dim: int, out_dim: int) -> np.ndarray:
+    """tr_out J of a Choi matrix J; the identity for a trace-preserving map."""
+    J4 = J.reshape(in_dim, out_dim, in_dim, out_dim)
     return np.einsum("kala->kl", J4)
 
 

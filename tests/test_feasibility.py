@@ -88,40 +88,30 @@ class TestChoiMatrix:
     def test_identity_channel_choi_acts_as_identity(self):
         J = fz.choi_from_kraus(fz.KrausSet([np.eye(3, dtype=complex)]))
         M = crandn(rng(0), 3, 3)
-        assert np.allclose(choi_apply(J, M), M, atol=1e-12)
-        assert np.allclose(choi_trace_out(J), np.eye(3), atol=1e-12)
+        assert np.allclose(choi_apply(J, 3, 3, M), M, atol=1e-12)
+        assert np.allclose(choi_trace_out(J, 3, 3), np.eye(3), atol=1e-12)
 
     def test_kraus_channel_choi_matches_direct_application(self):
         gen = rng(1)
         ks = fz.KrausSet(random_kraus(gen, 2, 3, 2))
         J = fz.choi_from_kraus(ks)
         M = crandn(gen, 3, 3)
-        assert np.allclose(choi_apply(J, M), ks.apply(M), atol=1e-12)
-        assert np.allclose(choi_trace_out(J), np.eye(3), atol=1e-8)
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="must be"):
-            fz.ChoiMatrix(matrix=np.eye(5, dtype=complex), in_dim=2, out_dim=2)
-
-    def test_rejects_non_hermitian(self):
-        M = np.eye(4, dtype=complex)
-        M[0, 1] = 1e-3
-        with pytest.raises(ValueError, match="Hermitian"):
-            fz.ChoiMatrix(matrix=M, in_dim=2, out_dim=2)
+        assert np.allclose(choi_apply(J, 3, 2, M), ks.apply(M), atol=1e-12)
+        assert np.allclose(choi_trace_out(J, 3, 2), np.eye(3), atol=1e-8)
 
 
 class TestBuildConstraints:
     def test_ghz_system_satisfied_by_identity_choi(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
         system = fz.build_constraints(blocks, "EtoB")
-        J = fz.choi_from_kraus(fz.KrausSet([np.eye(2, dtype=complex)])).matrix
+        J = fz.choi_from_kraus(fz.KrausSet([np.eye(2, dtype=complex)]))
         assert system.residual(J) <= 1e-12
         assert np.linalg.norm(system.project(J) - J) <= 1e-12
 
     def test_example2_system_satisfied_by_reference_choi(self):
         ex = states.build_fixture("example2", a=0.5, b=0.5)
         system = fz.build_constraints(states.extract_blocks(ex), "EtoB")
-        J = fz.choi_from_kraus(example2_reference_kraus(0.5, 0.5)).matrix
+        J = fz.choi_from_kraus(example2_reference_kraus(0.5, 0.5))
         assert system.residual(J) <= 1e-12
         assert np.linalg.norm(system.project(J) - J) <= 1e-12
 
@@ -164,11 +154,11 @@ class TestBuildConstraints:
         PX, PY = system.project(X), system.project(Y)
         assert np.array_equal(PX, PX.conj().T)
         # The image lies in the set: Φ(Q_i) = C_i, and tr_out J = I off span Q.
-        J = fz.ChoiMatrix(PX, system.in_dim, system.out_dim)
+        i, o = system.in_dim, system.out_dim
         Q = system.basis
-        images = [choi_apply(J, row.reshape(system.in_dim, -1)).reshape(-1) for row in Q]
+        images = [choi_apply(PX, i, o, row.reshape(i, -1)).reshape(-1) for row in Q]
         assert np.allclose(images, system.fitted, atol=1e-10)
-        g = (choi_trace_out(J) - np.eye(system.in_dim)).reshape(-1)
+        g = (choi_trace_out(PX, i, o) - np.eye(i)).reshape(-1)
         assert np.allclose(g - Q.conj().T @ (Q @ g), 0, atol=1e-10)
         assert np.allclose(system.project(PX), PX, atol=1e-10)
         inner = np.vdot(X - PX, PY - PX).real
@@ -469,7 +459,7 @@ class TestKrausNewton:
 class TestExtractKraus:
     def test_identity_choi_recovers_identity(self):
         J = fz.choi_from_kraus(fz.KrausSet([np.eye(3, dtype=complex)]))
-        ks = fz.extract_kraus(J)
+        ks = fz.extract_kraus(J, 3, 3)
         assert ks.r == 1
         F = ks.operators[0]
         assert abs(abs(F[0, 0]) - 1.0) <= 1e-12
@@ -477,9 +467,9 @@ class TestExtractKraus:
 
     def test_example2_choi_round_trip(self):
         J = fz.choi_from_kraus(example2_reference_kraus(0.5, 0.5))
-        ks = fz.extract_kraus(J)
+        ks = fz.extract_kraus(J, 2, 2)
         J2 = fz.choi_from_kraus(ks)
-        assert np.max(np.abs(J.matrix - J2.matrix)) <= 1e-10
+        assert np.max(np.abs(J - J2)) <= 1e-10
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -490,16 +480,25 @@ class TestExtractKraus:
         r = int(gen.integers(1, 4)) + -(-in_dim // out_dim)
         ks = fz.KrausSet(random_kraus(gen, out_dim, in_dim, r))
         J = fz.choi_from_kraus(ks)
-        extracted = fz.extract_kraus(J)
+        extracted = fz.extract_kraus(J, in_dim, out_dim)
         assert extracted.completeness_defect() <= 1e-8
         J2 = fz.choi_from_kraus(extracted)
-        assert np.max(np.abs(J.matrix - J2.matrix)) <= 1e-9
+        assert np.max(np.abs(J - J2)) <= 1e-9
 
     def test_materially_non_psd_rejected(self):
         M = np.diag([1.0, 1.0, 1.0, -0.5]).astype(complex)
-        J = fz.ChoiMatrix(matrix=M, in_dim=2, out_dim=2)
         with pytest.raises(ValueError, match="non-PSD"):
-            fz.extract_kraus(J)
+            fz.extract_kraus(M, 2, 2)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match="must be 4x4"):
+            fz.extract_kraus(np.eye(5, dtype=complex), 2, 2)
+
+    def test_rejects_non_hermitian(self):
+        M = np.eye(4, dtype=complex)
+        M[0, 1] = 1e-3
+        with pytest.raises(ValueError, match="Hermitian"):
+            fz.extract_kraus(M, 2, 2)
 
 
 class TestVerifyChannel:
@@ -734,23 +733,27 @@ class TestRankOneFirst:
         assert (out.status, out.stage) == ("RuledOut", "filter")
 
     @pytest.mark.parametrize(
-        "state, direction",
+        "state, direction, label",
         [
-            (states.build_fixture("example2", a=0.6, b=np.sqrt(0.14)), "BtoE"),
-            (states.build_fixture("bell_lift"), "EtoB"),
-            (dephasing_lift(0.1), "EtoB"),
-            (dephasing_lift(0.25), "EtoB"),
-            (dephasing_lift(0.4), "EtoB"),
+            (states.build_fixture("example2", a=0.6, b=np.sqrt(0.14)), "BtoE", "pair (0,1) - (1,0)"),
+            # A tie between the entry's two witnesses goes to the smaller label.
+            (states.build_fixture("bell_lift"), "EtoB", "pair (0,0) - (1,1)"),
+            (dephasing_lift(0.1), "EtoB", "pair (0,1) - (1,0)"),
+            (dephasing_lift(0.25), "EtoB", "pair (0,1) - (1,0)"),
+            (dephasing_lift(0.4), "EtoB", "pair (0,1) - (1,0)"),
         ],
         ids=["example2-0.36-BtoE", "bell_lift-EtoB", "dephasing-0.1-EtoB",
              "dephasing-0.25-EtoB", "dephasing-0.4-EtoB"],
     )
-    def test_refuted_pair_gives_the_witness(self, state, direction):
+    def test_refuted_pair_gives_the_witness(self, state, direction, label):
         out = fz.decide(state, direction)
         assert (out.status, out.stage) == ("RuledOut", "rank_one")
         witness = out.filter_witness
         assert witness.violated
+        assert witness.label == label
+        if label == "pair (0,1) - (1,0)":
+            assert witness.d_in == 0.0
         d_in, d_out = witness_distances_from_amplitudes(state, direction, witness.coefficients)
-        assert d_in < d_out - fz.DEFAULT_SLACK_TOL
+        assert d_in < d_out - filters.DEFAULT_SLACK_TOL
         assert d_in == pytest.approx(witness.d_in, rel=1e-9, abs=1e-12)
         assert d_out == pytest.approx(witness.d_out, rel=1e-9, abs=1e-12)

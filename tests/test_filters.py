@@ -15,6 +15,7 @@ from helpers import (
     depolarizing_lift_state,
     pair_filter_oracle,
     random_kraus,
+    random_product_state,
     random_state_vector,
     random_witness_coefficients_oracle,
     random_witness_filter_oracle,
@@ -295,6 +296,26 @@ class TestBatchedFiltersMatchLoops:
         assert len(lam) == len(expected) == 200
         for k, (coefficients, _) in enumerate(expected):
             assert np.array_equal(lam[k], coefficients)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_refutation_filter_matches_the_loop_on_its_two_witnesses(self, n, seed):
+        gen = rng(seed)
+        p, q = (int(d) for d in gen.integers(2, 4, size=2))
+        x, _, _ = random_product_state(gen, n, p, q)
+        blocks = states.extract_blocks(states.TripartiteState((n, p, q), x).unit())
+        i, j = sorted(gen.choice(n, 2, replace=False).tolist())
+        labels = {f"pair ({i},{i}) - ({j},{j})", f"pair ({i},{j}) - ({j},{i})"}
+        for direction in filters.DIRECTIONS:
+            every = [w for w in pair_filter_oracle(blocks, direction, -np.inf) if w.label in labels]
+            assert len(every) == 2
+            for entry in ((i, j), (j, i)):
+                assert_reports_strongest(
+                    filters.refutation_filter(blocks, direction, *entry), violated(every), 2
+                )
 
 
 class TestWitnessProperties:

@@ -182,32 +182,31 @@ def test_independent_columns_spans_low_rank_matrix():
 
 
 def test_reduce_rows_consistent_and_inconsistent():
-    def least_squares_point(red):
-        return red.Q.conj().T @ red.c
+    def least_squares_point(Q, c):
+        return Q.conj().T @ c
 
     A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     b = np.array([1.0, 2.0, 3.0])
-    red = linalg.reduce_rows(A, b)
-    assert red.Q.shape[0] == 2
-    assert np.allclose(red.Q @ red.Q.T, np.eye(2), atol=1e-12)
+    Q, c = linalg.reduce_rows(A, b)
+    assert Q.shape[0] == 2
+    assert np.allclose(Q @ Q.T, np.eye(2), atol=1e-12)
     x = np.array([1.0, 2.0, 7.0])
-    assert np.allclose(red.Q @ x, red.c, atol=1e-12)
-    assert np.allclose(A @ least_squares_point(red), b, atol=1e-12)
+    assert np.allclose(Q @ x, c, atol=1e-12)
+    assert np.allclose(A @ least_squares_point(Q, c), b, atol=1e-12)
 
     # An inconsistent system keeps its min-norm least-squares point, which misses b.
     b_bad = np.array([1.0, 2.0, 4.0])
-    red_bad = linalg.reduce_rows(A, b_bad)
-    x_bad = least_squares_point(red_bad)
+    x_bad = least_squares_point(*linalg.reduce_rows(A, b_bad))
     assert np.allclose(x_bad, np.linalg.lstsq(A, b_bad, rcond=None)[0], atol=1e-12)
     assert np.linalg.norm(A @ x_bad - b_bad) > 1e-3
 
     # Complex rows and one right-hand side per column.
     gen = rng(2)
     Ac, X = crandn(gen, 4, 3), crandn(gen, 3, 2)
-    red_c = linalg.reduce_rows(Ac, Ac @ X)
-    assert red_c.Q.shape[0] == 3
-    assert np.allclose(Ac @ least_squares_point(red_c), Ac @ X, atol=1e-12)
-    assert np.allclose(red_c.Q @ X, red_c.c, atol=1e-12)
+    Q_c, c_c = linalg.reduce_rows(Ac, Ac @ X)
+    assert Q_c.shape[0] == 3
+    assert np.allclose(Ac @ least_squares_point(Q_c, c_c), Ac @ X, atol=1e-12)
+    assert np.allclose(Q_c @ X, c_c, atol=1e-12)
 
 
 def test_psd_factor_keeps_exactly_the_positive_eigenpairs():
