@@ -37,14 +37,6 @@ NEWTON_STEPS = 12
 # Largest Frobenius error (I ⊗ Φ) may leave on the unit-norm state's blocks for
 # a Feasible verdict; the completeness bound is linalg.COMPLETENESS_TOL.
 VERIFY_TOL = 1e-7
-# Outcome detail for each way a projection run stops (linalg.ProjectionResult.stop).
-_STOP_DETAIL = {
-    "converged": "converged in {} iterations",
-    "affine_psd": "affine point PSD after {} iterations",
-    "kraus_newton": "Kraus-form Gauss-Newton finish at iteration {}",
-    "stalled": "projections stalled after {} iterations",
-    "budget": "projections iteration budget exhausted after {} iterations",
-}
 
 
 @dataclass(frozen=True)
@@ -350,25 +342,18 @@ def solve_feasibility(
         max_iter=config.max_iter,
         finish=system.kraus_newton,
     )
-    detail = _STOP_DETAIL[result.stop].format(result.iterations)
-    if not result.converged:
-        return FeasibilityOutcome(
-            status="Inconclusive",
-            stage="sdp",
-            residual_affine=result.residual_affine,
-            residual_psd=result.residual_psd,
-            iterations=result.iterations,
-            detail=detail,
-        )
-    kraus = extract_kraus(result.affine_point, system.in_dim, system.out_dim)
     return FeasibilityOutcome(
-        status="Feasible",
+        status="Feasible" if result.converged else "Inconclusive",
         stage="sdp",
         residual_affine=result.residual_affine,
         residual_psd=result.residual_psd,
         iterations=result.iterations,
-        certificate=kraus,
-        detail=detail,
+        certificate=(
+            extract_kraus(result.affine_point, system.in_dim, system.out_dim)
+            if result.converged
+            else None
+        ),
+        detail=linalg.STOP_DETAIL[result.stop].format(result.iterations),
     )
 
 

@@ -103,16 +103,6 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int, int], subsystem: int) -
     return rho[flat[:, None, :], flat[None, :, :]].sum(axis=2)
 
 
-def gram(vectors: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Gram matrix with entry ``(i, j) = u_i^* u_j``."""
-    vs = [np.asarray(v, dtype=complex).ravel() for v in vectors]
-    length = vs[0].size
-    if any(v.size != length for v in vs):
-        raise ValueError("gram: vectors have mismatched lengths")
-    M = np.column_stack(vs)
-    return dagger(M) @ M
-
-
 def independent_columns(M: np.ndarray) -> list[int]:
     """Sorted indices of a maximal linearly independent set of columns of ``M``.
 
@@ -151,6 +141,14 @@ def reduce_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # Ways a Douglas–Rachford run ends; the first three certify a point.
 CERTIFYING_STOPS = ("converged", "affine_psd", "kraus_newton")
+# Outcome detail for each stop, formatted with the iteration count.
+STOP_DETAIL = {
+    "converged": "converged in {} iterations",
+    "affine_psd": "affine point PSD after {} iterations",
+    "kraus_newton": "Kraus-form Gauss-Newton finish at iteration {}",
+    "stalled": "projections stalled after {} iterations",
+    "budget": "projections iteration budget exhausted after {} iterations",
+}
 # A point certifies when its affine residual is at most FEAS_TOL and its
 # affine projection has no eigenvalue below -PSD_TOL.
 FEAS_TOL = 1e-8

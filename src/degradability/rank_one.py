@@ -38,12 +38,6 @@ class RankOneDecomposition:
         """Decomposition of the transposed family S_i = v_i d_i u_i^t."""
         return RankOneDecomposition(u=self.v, d=self.d, v=self.u)
 
-    def gram_u(self) -> np.ndarray:
-        return linalg.gram(self.u)
-
-    def gram_v(self) -> np.ndarray:
-        return linalg.gram(self.v)
-
 
 @dataclass(frozen=True)
 class CorrelationCertificate:
@@ -93,62 +87,57 @@ def check_condition_e(
     Entries with |v_i*v_j| <= DEFAULT_DIV_TOL stay free and are PSD-completed; a forced
     entry with |C_ij| > 1 kills the 2x2 principal minor and settles No exactly.
     A Yes carries a ``CorrelationCertificate``. A No settled by one entry
-    carries that entry as a ``RankOneRefutation``; a No from the fully forced
-    C, and an Inconclusive, carry None.
+    carries the first offending entry in row-major order as a
+    ``RankOneRefutation``; a No from the fully forced C, and an Inconclusive,
+    carry None. An Inconclusive reason names how the PSD completion stopped.
     """
     n = dec.count
-    G_u = dec.gram_u()
-    G_v = dec.gram_v()
-    fixed = np.eye(n, dtype=complex)
-    fixed_mask = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if abs(G_v[i, j]) > DEFAULT_DIV_TOL:
-                c = G_u[i, j] / G_v[i, j]
-                if abs(c) ** 2 > 1 + DEFAULT_MATCH_TOL:
-                    return (
-                        "No",
-                        RankOneRefutation(i, j),
-                        f"forced |C({i},{j})| = {abs(c):.6g} > 1: principal minor "
-                        f"1 - |C|^2 = {1 - abs(c) ** 2:.3g} < 0",
-                    )
-                fixed[i, j] = c
-                fixed_mask[i, j] = True
-            elif abs(G_u[i, j]) > DEFAULT_MATCH_TOL:
-                return (
-                    "No",
-                    RankOneRefutation(i, j),
-                    f"u-Gram entry ({i},{j}) = {abs(G_u[i, j]):.6g} is nonzero where "
-                    f"the v-Gram vanishes",
-                )
+    u = np.asarray(dec.u, dtype=complex)
+    v = np.asarray(dec.v, dtype=complex)
+    G_u = u.conj() @ u.T
+    G_v = v.conj() @ v.T
+    diag = np.eye(n, dtype=bool)
+    fixed_mask = ~diag & (np.abs(G_v) > DEFAULT_DIV_TOL)
+    C = G_u / np.where(fixed_mask, G_v, 1.0)
+    too_large = fixed_mask & (np.abs(C) ** 2 > 1 + DEFAULT_MATCH_TOL)
+    unmatched = ~diag & ~fixed_mask & (np.abs(G_u) > DEFAULT_MATCH_TOL)
+    offending = too_large | unmatched
+    if offending.any():
+        # argmax of the flat mask is its first offending entry in row-major order.
+        i, j = divmod(int(np.argmax(offending)), n)
+        if too_large[i, j]:
+            c = C[i, j]
+            reason = (
+                f"forced |C({i},{j})| = {abs(c):.6g} > 1: principal minor "
+                f"1 - |C|^2 = {1 - abs(c) ** 2:.3g} < 0"
+            )
+        else:
+            reason = (
+                f"u-Gram entry ({i},{j}) = {abs(G_u[i, j]):.6g} is nonzero where "
+                f"the v-Gram vanishes"
+            )
+        return "No", RankOneRefutation(i, j), reason
 
-    needs_completion = bool((~fixed_mask & ~np.eye(n, dtype=bool)).any())
-    if not needs_completion:
+    fixed = np.where(fixed_mask, C, np.eye(n))
+    mask = fixed_mask | diag
+    if mask.all():
         low = linalg.min_eig(fixed)
         if low < -DEFAULT_MATCH_TOL:
             return "No", None, f"fully forced C has min eigenvalue {low:.3g} < 0"
         cert = CorrelationCertificate(C=fixed, fixed_mask=fixed_mask, completed=False)
         return "Yes", cert, "all entries forced; PSD verified"
 
-    mask = fixed_mask | np.eye(n, dtype=bool)
     result = linalg.complete_psd(fixed * mask, mask, max_iter=COMPLETION_MAX_ITER)
     if not result.converged:
+        detail = linalg.STOP_DETAIL[result.stop].format(result.iterations)
         return (
             "Inconclusive",
             None,
-            f"PSD completion stalled after {result.iterations} iterations "
-            f"(affine residual {result.residual_affine:.3g})",
+            f"PSD completion: {detail} (affine residual {result.residual_affine:.3g})",
         )
-    C = result.affine_point
-    if linalg.min_eig(C) < -DEFAULT_MATCH_TOL:
-        return (
-            "Inconclusive",
-            None,
-            f"completed C drifted indefinite (min eig {linalg.min_eig(C):.3g})",
-        )
-    cert = CorrelationCertificate(C=C, fixed_mask=fixed_mask, completed=True)
+    cert = CorrelationCertificate(
+        C=result.affine_point, fixed_mask=fixed_mask, completed=True
+    )
     return "Yes", cert, f"completed in {result.iterations} iterations"
 
 

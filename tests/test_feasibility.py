@@ -29,6 +29,7 @@ from helpers import (
     rng,
     schur_yes_decomposition,
     state_from_decomposition,
+    unit,
     verify_channel_oracle,
 )
 
@@ -733,25 +734,36 @@ class TestRankOneFirst:
         assert (out.status, out.stage) == ("RuledOut", "filter")
 
     @pytest.mark.parametrize(
-        "state, direction, label",
+        "state, direction, label, reason",
         [
-            (states.build_fixture("example2", a=0.6, b=np.sqrt(0.14)), "BtoE", "pair (0,1) - (1,0)"),
+            (states.build_fixture("example2", a=0.6, b=np.sqrt(0.14)), "BtoE",
+             "pair (0,1) - (1,0)", "v-Gram vanishes"),
             # A tie between the entry's two witnesses goes to the smaller label.
-            (states.build_fixture("bell_lift"), "EtoB", "pair (0,0) - (1,1)"),
-            (dephasing_lift(0.1), "EtoB", "pair (0,1) - (1,0)"),
-            (dephasing_lift(0.25), "EtoB", "pair (0,1) - (1,0)"),
-            (dephasing_lift(0.4), "EtoB", "pair (0,1) - (1,0)"),
+            (states.build_fixture("bell_lift"), "EtoB", "pair (0,0) - (1,1)", "v-Gram vanishes"),
+            (dephasing_lift(0.1), "EtoB", "pair (0,1) - (1,0)", "v-Gram vanishes"),
+            (dephasing_lift(0.25), "EtoB", "pair (0,1) - (1,0)", "v-Gram vanishes"),
+            (dephasing_lift(0.4), "EtoB", "pair (0,1) - (1,0)", "v-Gram vanishes"),
+            (
+                state_from_decomposition(rank_one.RankOneDecomposition(
+                    u=[np.array([1.0, 0.0]), unit(np.array([1.0, 0.2]))],
+                    d=[1.0, 1.0],
+                    v=[np.array([1.0, 0.0]), unit(np.array([1.0, 3.0]))],
+                )),
+                "EtoB", "pair (0,1) - (1,0)", "forced |C(0,1)| = 3.10087 > 1",
+            ),
         ],
         ids=["example2-0.36-BtoE", "bell_lift-EtoB", "dephasing-0.1-EtoB",
-             "dephasing-0.25-EtoB", "dephasing-0.4-EtoB"],
+             "dephasing-0.25-EtoB", "dephasing-0.4-EtoB", "forced-entry-EtoB"],
     )
-    def test_refuted_pair_gives_the_witness(self, state, direction, label):
+    def test_refuted_pair_gives_the_witness(self, state, direction, label, reason):
         out = fz.decide(state, direction)
         assert (out.status, out.stage) == ("RuledOut", "rank_one")
+        assert reason in out.detail
         witness = out.filter_witness
         assert witness.violated
         assert witness.label == label
-        if label == "pair (0,1) - (1,0)":
+        if label == "pair (0,1) - (1,0)" and reason == "v-Gram vanishes":
+            # R_0 R_1* is a multiple of the v-Gram entry, so the cross witness reads 0.
             assert witness.d_in == 0.0
         d_in, d_out = witness_distances_from_amplitudes(state, direction, witness.coefficients)
         assert d_in < d_out - filters.DEFAULT_SLACK_TOL

@@ -141,26 +141,6 @@ def test_partial_trace_shape_check():
         linalg.partial_trace(np.eye(7), (2, 2, 2), 1)
 
 
-def test_gram_basic():
-    assert np.allclose(linalg.gram(list(np.eye(3))), np.eye(3), atol=1e-15)
-    e1, e2 = np.eye(2)
-    G = linalg.gram([e1, (e1 + e2) / np.sqrt(2)])
-    assert np.allclose(G, [[1, 1 / np.sqrt(2)], [1 / np.sqrt(2), 1]], atol=1e-12)
-
-
-def test_gram_is_psd():
-    gen = rng(7)
-    vs = [crandn(gen, 5) for _ in range(4)]
-    G = linalg.gram(vs)
-    assert np.allclose(G, G.conj().T, atol=1e-13)
-    assert linalg.min_eig(G) >= -1e-12
-
-
-def test_gram_length_mismatch():
-    with pytest.raises(ValueError):
-        linalg.gram([np.ones(2), np.ones(3)])
-
-
 def test_project_psd():
     A = np.array([[1.0, -2.0, 3.0], [-2.0, 3.0, -2.0], [3.0, -2.0, 1.0]])
     X = linalg.project_psd(A)
@@ -276,6 +256,29 @@ def test_converged_affine_point_satisfies_the_affine_set():
     assert np.max(np.abs(system.project(res.affine_point) - res.affine_point)) <= 1e-12
     assert linalg.min_eig(res.affine_point) >= -linalg.PSD_TOL
     assert linalg.min_eig(res.point) >= -1e-12
+
+
+def test_converged_completion_is_psd_to_psd_tol():
+    # rank_one.check_condition_e takes a converged completion as its
+    # certificate without testing it again. Both stops complete_psd can
+    # certify with require min_eig(affine_point) >= -PSD_TOL.
+    stops = []
+    for seed in range(60):
+        gen = rng(seed)
+        n = int(gen.integers(3, 7))
+        g = crandn(gen, n, int(gen.integers(1, n)))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        C = g @ g.conj().T
+        upper = np.triu(gen.random((n, n)) < 0.5, 1)
+        mask = upper | upper.T | np.eye(n, dtype=bool)
+        if seed % 2:
+            # Stretch the fixed off-diagonal entries so some masks have no completion.
+            C = np.where(mask & ~np.eye(n, dtype=bool), 1.3 * C, C)
+        res = linalg.complete_psd(C, mask, max_iter=500)
+        stops.append(res.stop)
+        if res.converged:
+            assert linalg.min_eig(res.affine_point) >= -linalg.PSD_TOL
+    assert {"converged", "affine_psd", "budget"} == set(stops)
 
 
 @settings(max_examples=25, deadline=None)

@@ -125,6 +125,46 @@ class TestConditionE:
         assert cert == rank_one.RankOneRefutation(0, 1)
         assert "v-Gram vanishes" in reason
 
+    @pytest.mark.parametrize(
+        "order, reason",
+        [
+            ((0, 1, 2), "u-Gram entry (0,2) = 0.707107 is nonzero where the v-Gram vanishes"),
+            ((1, 0, 2), "forced |C(0,2)| = 1.34164 > 1: principal minor 1 - |C|^2 = -0.8 < 0"),
+        ],
+        ids=["vanishing-first", "forced-first"],
+    )
+    def test_first_offending_entry_in_row_major_order(self, order, reason):
+        # Entry (0,1) holds; (0,2) and (1,2) fail, one where the v-Gram
+        # vanishes and one with a forced |C| > 1. Swapping blocks 0 and 1
+        # swaps which kind comes first; (2,0) comes first in column-major order.
+        u = [np.array([1.0, 0.0, 0.0]), unit(np.array([0.5, 0.0, 1.0])),
+             unit(np.array([1.0, 0.0, 1.0]))]
+        v = [np.array([1.0, 0.0]), unit(np.array([1.0, 1.0])), np.array([0.0, 1.0])]
+        dec = rank_one.RankOneDecomposition(
+            u=[u[k] for k in order], d=[1.0] * 3, v=[v[k] for k in order]
+        )
+        assert rank_one.check_condition_e(dec) == (
+            "No", rank_one.RankOneRefutation(0, 2), reason
+        )
+
+    def test_completion_reason_names_the_stop(self, monkeypatch):
+        # C_01 = C_12 = 0.9 are forced and C_02 is free; the start with
+        # C_02 = 0 is indefinite, so the completion takes several iterations.
+        x = 0.9 / np.sqrt(2)
+        u = [np.array([1.0, 0.0, 0.0]), np.array([x, x, np.sqrt(1 - 2 * x * x)]),
+             np.array([0.0, 1.0, 0.0])]
+        v = [np.array([1.0, 0.0]), unit(np.array([1.0, 1.0])), np.array([0.0, 1.0])]
+        dec = rank_one.RankOneDecomposition(u=u, d=[1.0] * 3, v=v)
+        verdict, cert, _ = rank_one.check_condition_e(dec)
+        assert verdict == "Yes"
+        assert cert.completed
+        monkeypatch.setattr(rank_one, "COMPLETION_MAX_ITER", 1)
+        verdict, cert, reason = rank_one.check_condition_e(dec)
+        assert (verdict, cert) == ("Inconclusive", None)
+        assert reason.startswith(
+            "PSD completion: projections iteration budget exhausted after 1 iterations"
+        )
+
     def test_indefinite_fully_forced_c_is_no_without_a_pair(self):
         # Every |C_ij| = 1 is allowed, but C's signed triangle has eigenvalue -1,
         # while G_u = G_v ∘ C (eigenvalues 1.5, 1.5, 0) is still a Gram matrix.
@@ -153,7 +193,8 @@ class TestConditionE:
         assert np.allclose(C, C.conj().T, atol=1e-12)
         assert np.allclose(np.diag(C), 1.0, atol=1e-12)
         assert linalg.min_eig(C) > -1e-8
-        G_u, G_v = dec.gram_u(), dec.gram_v()
+        G_u = np.array([[np.vdot(a, b) for b in dec.u] for a in dec.u])
+        G_v = np.array([[np.vdot(a, b) for b in dec.v] for a in dec.v])
         err = np.abs(G_u - G_v * C)[cert.fixed_mask]
         assert err.size == 0 or np.max(err) < 1e-9
 
