@@ -180,7 +180,7 @@ def epsilon_scan(
         if full_decide:
             verdict = decide(lift, "EtoB", config).status
         else:
-            verdict = pair_filter(blocks, "EtoB").verdict
+            verdict = pair_filter(blocks).verdict
         rows.append(
             ScanRow(
                 epsilon=float(eps),

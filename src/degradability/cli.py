@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import jsonio, linalg
 from .channels import channel_degradability_test, depolarizing, epsilon_scan
-from .feasibility import VERIFY_TOL, FeasibilityOutcome, SolveConfig, decide
-from .filters import DEFAULT_SLACK_TOL, DIRECTIONS
+from .feasibility import DIRECTIONS, VERIFY_TOL, FeasibilityOutcome, SolveConfig, decide
+from .filters import DEFAULT_SLACK_TOL
 from .states import build_fixture
 
 _SOLVER_DEFAULTS = SolveConfig()

@@ -13,7 +13,9 @@ witness behind a rank-one No included.
 
 Every stage reads the block products R_uR_v* and S_uS_v* from the Gram stacks
 that ``states.extract_blocks`` forms: the filters, the pair equations of
-``build_constraints`` and the certificate check ``verify_channel``.
+``build_constraints`` and the certificate check ``verify_channel``. Each stage
+answers E→B for the family it receives; ``decide`` is the only function that
+reads a direction, and for B→E it hands every stage ``blocks.swapped()``.
 """
 from __future__ import annotations
 
@@ -23,14 +25,10 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg, rank_one
-from .filters import (
-    FilterWitness,
-    oriented_families,
-    pair_filter,
-    random_witness_filter,
-    refutation_filter,
-)
+from .filters import FilterWitness, pair_filter, random_witness_filter, refutation_filter
 from .states import BlockFamily, TripartiteState, extract_blocks
+
+DIRECTIONS = ("EtoB", "BtoE")
 
 # Most Gauss–Newton steps one Kraus-form finish takes (see AffineSystem.kraus_newton).
 NEWTON_STEPS = 12
@@ -277,9 +275,7 @@ def choi_from_kraus(kraus: KrausSet) -> np.ndarray:
     return J
 
 
-def build_constraints(
-    blocks: BlockFamily, direction: str, pairs: str = "all"
-) -> AffineSystem:
+def build_constraints(blocks: BlockFamily, pairs: str = "all") -> AffineSystem:
     """Affine system for Φ(M_in^{uv}) = M_out^{uv} plus trace preservation.
 
     Constraint pairs run over a maximal linearly independent subset of the
@@ -290,18 +286,17 @@ def build_constraints(
     """
     if pairs not in ("all", "diagonal"):
         raise ValueError(f"pairs must be 'all' or 'diagonal', got {pairs!r}")
-    oriented = oriented_families(blocks, direction)
-    in_dim = oriented.gram_in.shape[-1]
-    out_dim = oriented.gram_out.shape[-1]
-    keep = np.array(linalg.independent_columns(oriented.blocks_in.reshape(blocks.count, -1).T))
+    in_dim = blocks.G_R.shape[-1]
+    out_dim = blocks.G_S.shape[-1]
+    keep = np.array(linalg.independent_columns(blocks.R.reshape(blocks.count, -1).T))
 
     if pairs == "all":
         us, vs = np.repeat(keep, keep.size), np.tile(keep, keep.size)
     else:
         us = vs = keep
     weights = np.where(us == vs, 1.0, np.sqrt(0.5))[:, None]
-    sources = weights * oriented.gram_in[us, vs].reshape(us.size, -1)
-    images = weights * oriented.gram_out[us, vs].reshape(us.size, -1)
+    sources = weights * blocks.G_R[us, vs].reshape(us.size, -1)
+    images = weights * blocks.G_S[us, vs].reshape(us.size, -1)
     basis, fitted = linalg.reduce_rows(sources, images)
     # Each unordered pair is one complex equation per output entry; off-diagonal
     # pairs appear twice among the ordered pairs (us, vs).
@@ -380,24 +375,21 @@ def extract_kraus(J: np.ndarray, in_dim: int, out_dim: int) -> KrausSet:
     return KrausSet(operators=ops)
 
 
-def verify_channel(
-    kraus: KrausSet, state: TripartiteState, direction: str
-) -> float:
+def verify_channel(kraus: KrausSet, blocks: BlockFamily) -> float:
     """Frobenius distance between (I ⊗ Φ)(source reduction) and the target one.
 
-    The source reduction is the Gram stack G_in, so (I ⊗ Φ) of it is
-    Σ_s F_s G_in[u, v] F_s* over all (u, v) at once, compared with G_out.
+    The source reduction is the Gram stack G_R, so (I ⊗ Φ) of it is
+    Σ_s F_s G_R[u, v] F_s* over all (u, v) at once, compared with G_S.
     """
-    oriented = oriented_families(extract_blocks(state), direction)
-    need_in, need_out = oriented.gram_in.shape[-1], oriented.gram_out.shape[-1]
+    need_in, need_out = blocks.G_R.shape[-1], blocks.G_S.shape[-1]
     if kraus.in_dim != need_in or kraus.out_dim != need_out:
         raise ValueError(
             f"channel maps {kraus.in_dim}->{kraus.out_dim} but blocks need "
             f"{need_in}->{need_out}"
         )
     F = np.stack(kraus.operators)[:, None, None]
-    got = (F @ oriented.gram_in @ F.conj().swapaxes(-1, -2)).sum(axis=0)
-    return float(np.linalg.norm(got - oriented.gram_out))
+    got = (F @ blocks.G_R @ F.conj().swapaxes(-1, -2)).sum(axis=0)
+    return float(np.linalg.norm(got - blocks.G_S))
 
 
 def decide(
@@ -405,30 +397,47 @@ def decide(
 ) -> FeasibilityOutcome:
     """Full pipeline: rank-one fast path, filters, then Choi feasibility.
 
+    ``direction`` is ``"EtoB"`` or ``"BtoE"``, and this is the only function
+    that reads it: for B→E it swaps the block family and its rank-one
+    decomposition once, and every stage below answers E→B on what it gets.
+    The swap follows rank-one detection, which reads the R stack, so both
+    directions see the same factors u_i, d_i, v_i.
+
     The state is normalized first so verdicts are scale invariant. When every
     R_i has rank one, condition (e) runs first: it settles Yes exactly with a
     verified Kraus set, and a No at entry (i, j) with the stronger violated
     one of that entry's two pair witnesses (``filters.refutation_filter``,
-    stage ``rank_one``). Any other rank-one result, and every family
-    that is not rank one, goes on to the pair filter, the random filter and
-    then the Choi feasibility stage. Returns the first conclusive outcome. A
-    filter's RuledOut carries the filter's strongest violated witness and
-    counts the violators in its detail. Feasible always carries a Kraus set
-    that re-verifies on the normalized state within ``VERIFY_TOL``.
+    stage ``rank_one``). Any other rank-one result goes on to the later
+    stages, and the final detail starts with ``condition (e) deferred:`` and
+    the reason. Every family that is not rank one goes straight to the pair
+    filter, the random filter and then the Choi feasibility stage. Returns
+    the first conclusive outcome. A filter's RuledOut carries the filter's
+    strongest violated witness and counts the violators in its detail.
+    Feasible always carries a Kraus set that re-verifies on the normalized
+    state within ``VERIFY_TOL``.
     """
-    state = state.unit()
-    blocks = extract_blocks(state)
-
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    blocks = extract_blocks(state.unit())
     dec = rank_one.detect_rank_one(blocks)
-    if dec is not None:
-        outcome = _decide_rank_one(blocks, dec, direction, state)
-        if outcome is not None:
-            return outcome
+    if direction == "BtoE":
+        blocks = blocks.swapped()
+        dec = None if dec is None else dec.swapped()
+    if dec is None:
+        return _decide_general(blocks, config)
+    result = _decide_rank_one(blocks, dec)
+    if isinstance(result, FeasibilityOutcome):
+        return result
+    outcome = _decide_general(blocks, config)
+    return replace(outcome, detail=f"condition (e) deferred: {result}; {outcome.detail}")
 
-    name, report = "pair", pair_filter(blocks, direction)
+
+def _decide_general(blocks: BlockFamily, config: SolveConfig) -> FeasibilityOutcome:
+    """The pair filter, the random filter, then the Choi feasibility stage."""
+    name, report = "pair", pair_filter(blocks)
     if not report.violated and config.witnesses > 0:
         name = "random"
-        report = random_witness_filter(blocks, direction, config.witnesses, config.seed)
+        report = random_witness_filter(blocks, config.witnesses, config.seed)
     if report.violated:
         return FeasibilityOutcome(
             status="RuledOut",
@@ -437,10 +446,10 @@ def decide(
             detail=f"{name} filter: {report.violations} violating witnesses",
         )
 
-    outcome = solve_feasibility(build_constraints(blocks, direction), config)
+    outcome = solve_feasibility(build_constraints(blocks), config)
     if outcome.status != "Feasible":
         return outcome
-    ok, note = _check_certificate(outcome.certificate, state, direction)
+    ok, note = _check_certificate(outcome.certificate, blocks)
     if ok:
         return replace(outcome, detail=f"{outcome.detail}; {note}")
     return replace(
@@ -451,11 +460,9 @@ def decide(
     )
 
 
-def _check_certificate(
-    kraus: KrausSet, state: TripartiteState, direction: str
-) -> tuple[bool, str]:
-    """Re-verify a Kraus certificate on the state; the note states the evidence."""
-    residual = verify_channel(kraus, state, direction)
+def _check_certificate(kraus: KrausSet, blocks: BlockFamily) -> tuple[bool, str]:
+    """Re-verify a Kraus certificate on the blocks; the note states the evidence."""
+    residual = verify_channel(kraus, blocks)
     defect = kraus.completeness_defect()
     if residual <= VERIFY_TOL and defect <= linalg.COMPLETENESS_TOL:
         return True, f"verified {residual:.3g}"
@@ -463,17 +470,13 @@ def _check_certificate(
 
 
 def _decide_rank_one(
-    blocks: BlockFamily,
-    dec: rank_one.RankOneDecomposition,
-    direction: str,
-    state: TripartiteState,
-) -> FeasibilityOutcome | None:
-    """Resolve via the rank-one correlation conditions; None defers to the filters."""
-    oriented = dec if direction == "EtoB" else dec.swapped()
-    verdict, cert, reason = rank_one.check_condition_e(oriented)
+    blocks: BlockFamily, dec: rank_one.RankOneDecomposition
+) -> FeasibilityOutcome | str:
+    """Resolve via condition (e); a string defers to the later stages and says why."""
+    verdict, cert, reason = rank_one.check_condition_e(dec)
     if verdict == "Yes":
-        kraus = KrausSet(rank_one.kraus_from_correlation(oriented, cert))
-        ok, note = _check_certificate(kraus, state, direction)
+        kraus = KrausSet(rank_one.kraus_from_correlation(dec, cert))
+        ok, note = _check_certificate(kraus, blocks)
         if ok:
             return FeasibilityOutcome(
                 status="Feasible",
@@ -481,9 +484,9 @@ def _decide_rank_one(
                 certificate=kraus,
                 detail=f"condition (e): {reason}; {note}",
             )
-        return None
+        return f"{reason}, but the certificate failed verification ({note})"
     if isinstance(cert, rank_one.RankOneRefutation):
-        report = refutation_filter(blocks, direction, cert.i, cert.j)
+        report = refutation_filter(blocks, cert.i, cert.j)
         if report.violated:
             return FeasibilityOutcome(
                 status="RuledOut",
@@ -491,4 +494,7 @@ def _decide_rank_one(
                 filter_witness=report.witness,
                 detail=f"condition (e) fails: {reason}",
             )
-    return None
+        return f"{reason}, but neither pair witness of entry ({cert.i},{cert.j}) is violated"
+    if verdict == "No":
+        return f"{reason}, and no single entry refutes it"
+    return reason

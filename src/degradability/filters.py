@@ -4,6 +4,9 @@ Any channel taking the family {R_u R_v*} to {S_u S_v*} also takes every linear
 combination M_in = sum λ_uv R_u R_v* to M_out = sum λ_uv S_u S_v*, and trace-norm
 contractivity forces ||M_out||_1 <= ||M_in||_1. A witness with d_in < d_out
 therefore rules the channel out. Passing all witnesses certifies nothing.
+
+Every filter asks E→B of the family it receives: the inputs are R and G_R,
+the outputs S and G_S. For B→E, pass ``blocks.swapped()``.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ import numpy as np
 from . import linalg
 from .states import BlockFamily
 
-DIRECTIONS = ("EtoB", "BtoE")
 DEFAULT_SLACK_TOL = 1e-8
 # Pair witnesses per batched SVD; bounds the difference stacks at large n.
 PAIR_CHUNK = 4096
@@ -57,24 +59,6 @@ class FilterReport:
     @property
     def verdict(self) -> str:
         return "RuledOut" if self.violated else "Passed"
-
-
-class Oriented(NamedTuple):
-    """A block family seen in one direction: input and output blocks and Gram stacks."""
-
-    blocks_in: np.ndarray
-    blocks_out: np.ndarray
-    gram_in: np.ndarray
-    gram_out: np.ndarray
-
-
-def oriented_families(blocks: BlockFamily, direction: str) -> Oriented:
-    """The family oriented for a direction: EtoB maps R to S, BtoE the reverse."""
-    if direction == "EtoB":
-        return Oriented(blocks.R, blocks.S, blocks.G_R, blocks.G_S)
-    if direction == "BtoE":
-        return Oriented(blocks.S, blocks.R, blocks.G_S, blocks.G_R)
-    raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
 def combination(mats: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -144,13 +128,12 @@ def _pair_index(n: int) -> _PairIndex:
 
 
 def _pair_norms(
-    blocks: BlockFamily, direction: str, witnesses: np.ndarray | None = None
+    blocks: BlockFamily, witnesses: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trace distances d_in, d_out of the pair witnesses, in ``_pair_index(n)`` order.
 
     ``witnesses`` picks positions in that order; the default takes every witness.
     """
-    oriented = oriented_families(blocks, direction)
     n = blocks.count
     index = _pair_index(n)
     pick = slice(None) if witnesses is None else witnesses
@@ -161,7 +144,7 @@ def _pair_norms(
         ordered_atoms = G.reshape(n * n, *G.shape[2:])
         return np.concatenate([ordered_atoms, G[rows, cols] + G[cols, rows]])
 
-    mats_in, mats_out = atoms(oriented.gram_in), atoms(oriented.gram_out)
+    mats_in, mats_out = atoms(blocks.G_R), atoms(blocks.G_S)
     count = first.size
     d_in, d_out = np.empty(count), np.empty(count)
     for start in range(0, count, PAIR_CHUNK):
@@ -172,7 +155,7 @@ def _pair_norms(
     return d_in, d_out
 
 
-def pair_filter(blocks: BlockFamily, direction: str) -> FilterReport:
+def pair_filter(blocks: BlockFamily) -> FilterReport:
     """Scan the two-atom difference witnesses over ordered and Hermitian index pairs.
 
     The atoms are the n² ordered products R_i R_j* followed by the Hermitian
@@ -187,10 +170,10 @@ def pair_filter(blocks: BlockFamily, direction: str) -> FilterReport:
     bounded at large n. The report carries the strongest violated witness.
     """
     index = _pair_index(blocks.count)
-    return _strongest(*_pair_norms(blocks, direction), index.labels.__getitem__, index.coefficients)
+    return _strongest(*_pair_norms(blocks), index.labels.__getitem__, index.coefficients)
 
 
-def refutation_filter(blocks: BlockFamily, direction: str, i: int, j: int) -> FilterReport:
+def refutation_filter(blocks: BlockFamily, i: int, j: int) -> FilterReport:
     """The pair filter cut down to the two witnesses of entry (i, j), in either order.
 
     For i < j these are (i,i) - (j,j) and (i,j) - (j,i), the pair witnesses
@@ -203,7 +186,7 @@ def refutation_filter(blocks: BlockFamily, direction: str, i: int, j: int) -> Fi
     atoms = ((i * (n + 1), j * (n + 1)), (i * n + j, j * n + i))  # ordered atom (i,j) is i·n + j
     at = np.array([np.flatnonzero((index.first == a) & (index.second == b))[0] for a, b in atoms])
     return _strongest(
-        *_pair_norms(blocks, direction, at),
+        *_pair_norms(blocks, at),
         lambda k: index.labels[at[k]],
         lambda k: index.coefficients(at[k]),
     )
@@ -213,12 +196,11 @@ _RANDOM_FORMS = ("cc*-c~c~*", "cc~*+c~c*", "i(cc~*-c~c*)")
 
 
 def _random_witnesses(
-    blocks: BlockFamily, direction: str, count: int, seed: int
+    blocks: BlockFamily, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (count, n, n) stack of drawn λ with the trace norms d_in, d_out of each."""
     if count < 1:
         raise ValueError(f"witness count must be >= 1, got {count}")
-    oriented = oriented_families(blocks, direction)
     n = blocks.count
     draws = np.random.default_rng(seed).standard_normal((count, 4, n))
     c = draws[:, 0] + 1j * draws[:, 1]
@@ -235,17 +217,12 @@ def _random_witnesses(
     lam[1::3] = outer(c1, ct1) + outer(ct1, c1)
     lam[2::3] = 1j * (outer(c2, ct2) - outer(ct2, c2))
 
-    d_in = linalg.trace_norms(np.tensordot(lam, oriented.gram_in, axes=2))
-    d_out = linalg.trace_norms(np.tensordot(lam, oriented.gram_out, axes=2))
+    d_in = linalg.trace_norms(np.tensordot(lam, blocks.G_R, axes=2))
+    d_out = linalg.trace_norms(np.tensordot(lam, blocks.G_S, axes=2))
     return lam, d_in, d_out
 
 
-def random_witness_filter(
-    blocks: BlockFamily,
-    direction: str,
-    count: int,
-    seed: int,
-) -> FilterReport:
+def random_witness_filter(blocks: BlockFamily, count: int, seed: int) -> FilterReport:
     """Sample Hermitian combination witnesses from seeded standard-normal vectors.
 
     Rank-one coefficients c c* alone are useless here: both sides are then PSD
@@ -256,7 +233,7 @@ def random_witness_filter(
     combinations are formed at once from the Gram stacks and their trace
     norms taken in one batched SVD per side. It reports the strongest violator.
     """
-    lam, d_in, d_out = _random_witnesses(blocks, direction, count, seed)
+    lam, d_in, d_out = _random_witnesses(blocks, count, seed)
     return _strongest(
         d_in,
         d_out,

@@ -6,6 +6,11 @@ plain transpose ``R_i = S_i^t`` tile the reduced densities:
 ``tr_2(xx*) = (R_u R_v*)_{u,v}`` and ``tr_3(xx*) = (S_u S_v*)_{u,v}``.
 ``extract_blocks`` forms these two Gram stacks once, and every later stage
 reads its block products from them.
+
+Every stage answers one question about the family it is given: does a
+channel take each ``R_u R_v*`` to ``S_u S_v*`` (E→B)? Exchanging B and E
+only exchanges the two families, so ``BlockFamily.swapped()`` turns that
+question into B→E; ``feasibility.decide`` is the one place that does so.
 """
 from __future__ import annotations
 
@@ -76,6 +81,10 @@ class BlockFamily:
     @property
     def count(self) -> int:
         return len(self.S)
+
+    def swapped(self) -> BlockFamily:
+        """The family of the state with B and E exchanged: S, R and their Grams trade places."""
+        return BlockFamily(S=self.R, R=self.S, G_R=self.G_S, G_S=self.G_R)
 
 
 @dataclass(frozen=True)

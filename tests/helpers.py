@@ -130,6 +130,45 @@ def state_from_decomposition(dec):
     return states.TripartiteState((n, p, q), T.ravel())
 
 
+def swap_b_and_e(state):
+    """The state with B and E exchanged: amplitudes x[i, k, j] in C^n ⊗ C^q ⊗ C^p."""
+    from degradability import states
+
+    n, p, q = state.dims
+    return states.TripartiteState((n, q, p), state.tensor().transpose(0, 2, 1).ravel())
+
+
+def _dims_id(dims) -> str:
+    return "x".join(map(str, dims))
+
+
+def swap_cases():
+    """(id, state) pairs for B <-> E checks: the four fixtures and 20 seeded states.
+
+    The seeded states are 10 generic ones, 5 with rank-one slices and 5 that
+    satisfy condition (e), over several dims.
+    """
+    from degradability import states
+
+    cases = [
+        ("ghz", states.build_fixture("ghz")),
+        ("example2", states.build_fixture("example2", a=0.6, b=np.sqrt(0.14))),
+        ("sec4", states.build_fixture("sec4", alpha=np.sqrt(0.8), a=np.sqrt(0.65))),
+        ("bell_lift", states.build_fixture("bell_lift")),
+    ]
+    gen = rng(2026)
+    for k, dims in enumerate([(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 3, 3), (3, 3, 2)] * 2):
+        x = random_state_vector(gen, int(np.prod(dims)))
+        cases.append((f"generic-{k}-{_dims_id(dims)}", states.TripartiteState(dims, x)))
+    for dims in [(2, 2, 2), (3, 2, 3), (2, 3, 2), (4, 2, 2), (3, 3, 3)]:
+        x, _, _ = random_product_state(gen, *dims)
+        cases.append((f"product-{_dims_id(dims)}", states.TripartiteState(dims, x)))
+    for dims in [(2, 2, 2), (3, 2, 3), (4, 2, 4), (3, 3, 3), (5, 3, 5)]:
+        state = state_from_decomposition(schur_yes_decomposition(gen, *dims))
+        cases.append((f"schur-{_dims_id(dims)}", state))
+    return cases
+
+
 def depolarizing_lift_state(eps: float):
     """Closed-form amplitudes of the lifted depolarizing channel, norm^2 = 2."""
     from degradability import states
@@ -240,6 +279,11 @@ def brute_force_feasibility(
     return False, best
 
 
+def both_directions(blocks):
+    """(direction, family) pairs: every stage asks E→B, so B→E runs on the swapped family."""
+    return (("EtoB", blocks), ("BtoE", blocks.swapped()))
+
+
 def by_strength(witnesses):
     """Witnesses in (−margin, label) order, the strongest first."""
     return sorted(witnesses, key=lambda w: (-w.margin, w.label))
@@ -253,7 +297,8 @@ def pair_filter_oracle(blocks, direction: str, slack_tol: float = 1e-8):
     """
     from degradability import filters, linalg
 
-    fam_in, fam_out, _, _ = filters.oriented_families(blocks, direction)
+    fam_in = blocks.R if direction == "EtoB" else blocks.S
+    fam_out = blocks.S if direction == "EtoB" else blocks.R
     n = blocks.count
     atoms = []
     for i in range(n):
@@ -356,7 +401,8 @@ def random_witness_filter_oracle(
     """
     from degradability import filters, linalg
 
-    fam_in, fam_out, _, _ = filters.oriented_families(blocks, direction)
+    fam_in = blocks.R if direction == "EtoB" else blocks.S
+    fam_out = blocks.S if direction == "EtoB" else blocks.R
     violations = []
     for lam, label in random_witness_coefficients_oracle(blocks.count, count, seed):
         d_in = linalg.trace_norm(filters.combination(fam_in, lam))
@@ -428,9 +474,9 @@ def douglas_rachford_oracle(
 
 def verify_channel_oracle(kraus, state, direction: str) -> float:
     """Reference ``verify_channel``: Φ applied to each block product R_u R_v* in turn."""
-    from degradability import filters, states
-
-    fam_in, fam_out, _, _ = filters.oriented_families(states.extract_blocks(state), direction)
+    S = state.tensor()
+    R = S.transpose(0, 2, 1)
+    fam_in, fam_out = (R, S) if direction == "EtoB" else (S, R)
     err = 0.0
     for u in range(len(fam_in)):
         for v in range(len(fam_in)):

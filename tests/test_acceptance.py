@@ -77,7 +77,7 @@ def test_criterion_1_example2_golden() -> None:
     outcome = decide(state, "EtoB")
     assert outcome.status == "Feasible"
     assert outcome.certificate is not None
-    residual = verify_channel(outcome.certificate, state.unit(), "EtoB")
+    residual = verify_channel(outcome.certificate, states.extract_blocks(state.unit()))
     assert residual <= 1e-7
 
     report(
@@ -105,10 +105,11 @@ def test_criterion_2_two_way_condition() -> None:
     asym = states.build_fixture("example2", a=a_bad, b=b_bad)
     pipeline = decide(asym, "BtoE")
     assert pipeline.status in ("RuledOut", "Inconclusive")
-    raw = fz.solve_feasibility(fz.build_constraints(states.extract_blocks(asym.unit()), "BtoE"))
+    swapped = states.extract_blocks(asym.unit()).swapped()
+    raw = fz.solve_feasibility(fz.build_constraints(swapped))
     raw_verified = (
         raw.status == "Feasible"
-        and verify_channel(raw.certificate, asym.unit(), "BtoE") <= 1e-7
+        and verify_channel(raw.certificate, swapped) <= 1e-7
     )
     assert not raw_verified
 
@@ -190,11 +191,11 @@ def test_criterion_5_counterexample_regression() -> None:
     alpha, a = np.sqrt(0.8), np.sqrt(0.65)
     blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
 
-    diag = fz.solve_feasibility(fz.build_constraints(blocks, "EtoB", pairs="diagonal"))
+    diag = fz.solve_feasibility(fz.build_constraints(blocks, pairs="diagonal"))
     assert diag.status == "Feasible"
     assert diag.residual_affine <= 1e-7
 
-    system = fz.build_constraints(blocks, "EtoB")
+    system = fz.build_constraints(blocks)
     config = SolveConfig(max_iter=20000)
     run1 = fz.solve_feasibility(system, config)
     assert run1.status != "Feasible"
@@ -248,10 +249,10 @@ def test_criterion_6_rank_one_sdp_oracle_agreement() -> None:
         verdict, _, _ = rank_one.check_condition_e(dec)
         counts[verdict] += 1
 
-        out = fz.solve_feasibility(fz.build_constraints(blocks, "EtoB"), config)
+        out = fz.solve_feasibility(fz.build_constraints(blocks), config)
         verified = (
             out.status == "Feasible"
-            and verify_channel(out.certificate, state, "EtoB") <= 1e-7
+            and verify_channel(out.certificate, blocks) <= 1e-7
             and out.certificate.completeness_defect() <= 1e-8
         )
         assert verified == (verdict == "Yes"), (
@@ -285,7 +286,7 @@ def test_criterion_7_channel_certificates_and_rulings() -> None:
     worst = 0.0
     for K in preps:
         lifted = lift_prepared(damping, InputPreparation(K))
-        worst = max(worst, verify_channel(cert, lifted, "EtoB"))
+        worst = max(worst, verify_channel(cert, states.extract_blocks(lifted)))
     assert worst <= 1e-7
 
     noisy = depolarizing(0.1)

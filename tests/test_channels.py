@@ -24,7 +24,7 @@ from degradability.feasibility import (
     verify_channel,
 )
 from degradability.filters import contractivity_check
-from degradability.states import build_fixture
+from degradability.states import build_fixture, extract_blocks
 from helpers import crandn, depolarizing_lift_state, random_kraus, rng
 
 
@@ -86,12 +86,12 @@ class TestQuantumChannel:
     def test_completeness_bound_is_shared(self) -> None:
         # Channel inputs, contractivity checks and decide's certificate check
         # accept and reject the same Kraus sets.
-        ghz = build_fixture("ghz")
+        ghz = extract_blocks(build_fixture("ghz"))
         for defect, accepted in ((5e-9, True), (2e-8, False)):
             kraus = KrausSet([np.sqrt(1 + defect) * np.eye(2, dtype=complex)])
             assert kraus.completeness_defect() == pytest.approx(defect, rel=1e-6)
-            assert verify_channel(kraus, ghz, "EtoB") <= VERIFY_TOL
-            ok, note = _check_certificate(kraus, ghz, "EtoB")
+            assert verify_channel(kraus, ghz) <= VERIFY_TOL
+            ok, note = _check_certificate(kraus, ghz)
             assert ok is accepted, note
             if accepted:
                 QuantumChannel(kraus)
@@ -218,7 +218,7 @@ class TestChannelDegradabilityTest:
         preps += [crandn(gen, 2, 2) for _ in range(18)]
         for K in preps:
             lifted = lift_prepared(ch, InputPreparation(K))
-            assert verify_channel(cert, lifted, "EtoB") <= 1e-7
+            assert verify_channel(cert, extract_blocks(lifted)) <= 1e-7
 
     def test_ruling_out_extends_to_invertible_preparations(self) -> None:
         ch = depolarizing(0.1)

@@ -16,7 +16,7 @@ from degradability.channels import QuantumChannel, depolarizing, epsilon_scan
 from degradability.cli import build_parser, main
 from degradability.feasibility import KrausSet, decide, verify_channel
 from degradability.linalg import COMPLETENESS_TOL
-from degradability.states import TripartiteState, build_fixture
+from degradability.states import TripartiteState, build_fixture, extract_blocks
 from helpers import crandn, random_state_vector, rng
 
 
@@ -161,7 +161,7 @@ class TestAnalyzeState:
         main(["analyze-state", str(path), "--direction", "EtoB", "--format", "json"])
         report = json.loads(capsys.readouterr().out)
         cert = jsonio.kraus_from_obj(report["results"]["EtoB"]["certificate"])
-        assert verify_channel(cert, state.unit(), "EtoB") <= 1e-7
+        assert verify_channel(cert, extract_blocks(state.unit())) <= 1e-7
 
     def test_report_echoes_config(self, tmp_path: Path, capsys) -> None:
         path = write_state(tmp_path / "s.json", build_fixture("ghz"))
@@ -198,7 +198,7 @@ class TestAnalyzeState:
         assert (result["status"], result["stage"], result["iterations"]) == ("Feasible", "sdp", 1)
         assert result["detail"].startswith("affine point PSD after 1 iterations")
         cert = jsonio.kraus_from_obj(result["certificate"])
-        assert verify_channel(cert, state.unit(), "EtoB") <= 1e-7
+        assert verify_channel(cert, extract_blocks(state.unit())) <= 1e-7
         assert cert.completeness_defect() <= COMPLETENESS_TOL
 
     def test_json_reports_are_byte_identical(self, tmp_path: Path) -> None:

@@ -14,6 +14,7 @@ from degradability.channels import QuantumChannel, lift_max_entangled
 from degradability.filters import pair_filter, random_witness_filter
 
 from helpers import (
+    both_directions,
     brute_force_feasibility,
     choi_apply,
     choi_trace_out,
@@ -29,6 +30,8 @@ from helpers import (
     rng,
     schur_yes_decomposition,
     state_from_decomposition,
+    swap_b_and_e,
+    swap_cases,
     unit,
     verify_channel_oracle,
 )
@@ -104,21 +107,21 @@ class TestChoiMatrix:
 class TestBuildConstraints:
     def test_ghz_system_satisfied_by_identity_choi(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
-        system = fz.build_constraints(blocks, "EtoB")
+        system = fz.build_constraints(blocks)
         J = fz.choi_from_kraus(fz.KrausSet([np.eye(2, dtype=complex)]))
         assert system.residual(J) <= 1e-12
         assert np.linalg.norm(system.project(J) - J) <= 1e-12
 
     def test_example2_system_satisfied_by_reference_choi(self):
         ex = states.build_fixture("example2", a=0.5, b=0.5)
-        system = fz.build_constraints(states.extract_blocks(ex), "EtoB")
+        system = fz.build_constraints(states.extract_blocks(ex))
         J = fz.choi_from_kraus(example2_reference_kraus(0.5, 0.5))
         assert system.residual(J) <= 1e-12
         assert np.linalg.norm(system.project(J) - J) <= 1e-12
 
     def test_reduced_rows_are_orthonormal(self):
         blocks = states.extract_blocks(symmetric_slice_state(3))
-        system = fz.build_constraints(blocks, "EtoB")
+        system = fz.build_constraints(blocks)
         Q = system.basis
         assert np.allclose(Q @ Q.conj().T, np.eye(Q.shape[0]), atol=1e-10)
         # The rows span every weighted source pair.
@@ -144,7 +147,7 @@ class TestBuildConstraints:
         blocks = replace(
             blocks, S=target_scale * blocks.S, G_S=target_scale**2 * blocks.G_S
         )
-        system = fz.build_constraints(blocks, direction)
+        system = fz.build_constraints(blocks if direction == "EtoB" else blocks.swapped())
         dim = system.in_dim * system.out_dim
 
         def herm() -> np.ndarray:
@@ -175,26 +178,26 @@ class TestBuildConstraints:
     def test_rejects_unknown_pairs_mode(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
         with pytest.raises(ValueError, match="pairs"):
-            fz.build_constraints(blocks, "EtoB", pairs="upper")
+            fz.build_constraints(blocks, pairs="upper")
 
     def test_diagonal_mode_generates_fewer_rows(self):
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
-        full = fz.build_constraints(blocks, "EtoB", pairs="all")
-        diag = fz.build_constraints(blocks, "EtoB", pairs="diagonal")
+        full = fz.build_constraints(blocks, pairs="all")
+        diag = fz.build_constraints(blocks, pairs="diagonal")
         assert diag.raw_rows < full.raw_rows
 
     def test_pair_rows_match_per_pair_products(self):
         # Reference: the weighted rows R_u R_v* and S_u S_v* formed pair by pair.
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
-        for direction in ("EtoB", "BtoE"):
-            fam_in, fam_out, _, _ = filters.oriented_families(blocks, direction)
+        for direction, family in both_directions(blocks):
+            fam_in, fam_out = (blocks.R, blocks.S) if direction == "EtoB" else (blocks.S, blocks.R)
             for pairs, pair_list in (
                 ("all", [(u, v) for u in range(3) for v in range(3)]),
                 ("diagonal", [(u, u) for u in range(3)]),
             ):
-                system = fz.build_constraints(blocks, direction, pairs=pairs)
+                system = fz.build_constraints(family, pairs=pairs)
                 for fam, rows in ((fam_in, system.sources), (fam_out, system.images)):
                     want = np.array([
                         (1.0 if u == v else np.sqrt(0.5)) * (fam[u] @ fam[v].conj().T).ravel()
@@ -208,7 +211,7 @@ class TestBuildConstraints:
         S0, S1 = crandn(gen, 2, 2), crandn(gen, 2, 2)
         x = np.stack([S0, S1, S0 + S1]).ravel()
         st3 = states.TripartiteState((3, 2, 2), x)
-        system = fz.build_constraints(states.extract_blocks(st3), "EtoB")
+        system = fz.build_constraints(states.extract_blocks(st3))
         assert system.raw_rows == 6 + 3 * 4 * 2
         assert system.inconsistency <= 1e-10
 
@@ -216,7 +219,7 @@ class TestBuildConstraints:
 class TestSolveFeasibility:
     def test_ghz_converges_fast(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
-        out = fz.solve_feasibility(fz.build_constraints(blocks, "EtoB"))
+        out = fz.solve_feasibility(fz.build_constraints(blocks))
         assert out.status == "Feasible"
         assert out.iterations <= 500
         assert out.residual_affine <= 1e-9
@@ -225,14 +228,15 @@ class TestSolveFeasibility:
 
     def test_example2_symmetric_feasible_with_verified_kraus(self):
         ex = states.build_fixture("example2", a=0.5, b=0.5)
-        out = fz.solve_feasibility(fz.build_constraints(states.extract_blocks(ex), "EtoB"))
+        blocks = states.extract_blocks(ex)
+        out = fz.solve_feasibility(fz.build_constraints(blocks))
         assert out.status == "Feasible"
-        assert fz.verify_channel(out.certificate, ex, "EtoB") <= 1e-7
+        assert fz.verify_channel(out.certificate, blocks) <= 1e-7
 
     def test_sec4_diagonal_only_feasible(self):
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
-        out = fz.solve_feasibility(fz.build_constraints(blocks, "EtoB", pairs="diagonal"))
+        out = fz.solve_feasibility(fz.build_constraints(blocks, pairs="diagonal"))
         assert out.status == "Feasible"
         assert out.residual_affine <= 1e-8
         assert out.certificate.completeness_defect() <= 1e-8
@@ -240,7 +244,7 @@ class TestSolveFeasibility:
     def test_sec4_full_system_stalls_at_recorded_floor(self):
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
-        system = fz.build_constraints(blocks, "EtoB")
+        system = fz.build_constraints(blocks)
         assert system.inconsistency == pytest.approx(SEC4_LINEAR_FLOOR, rel=1e-9)
         out = fz.solve_feasibility(system)
         assert out.status == "Inconclusive"
@@ -251,7 +255,7 @@ class TestSolveFeasibility:
     def test_sec4_full_system_floor_is_start_independent(self):
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
-        system = fz.build_constraints(blocks, "EtoB")
+        system = fz.build_constraints(blocks)
         out = fz.solve_feasibility(system, initial=perturbed_start(system))
         assert out.status == "Inconclusive"
         assert out.residual_affine == pytest.approx(SEC4_STALL_BASELINE, rel=0.5)
@@ -264,8 +268,8 @@ class TestSolveFeasibility:
         verified = 0
         for n, p, e2 in ((2, 4, 1), (2, 3, 2)):  # Choi 16 and 18
             for seed in range(10):
-                state = planted_state(seed, n, p, e2)
-                system = fz.build_constraints(states.extract_blocks(state), "EtoB")
+                blocks = states.extract_blocks(planted_state(seed, n, p, e2))
+                system = fz.build_constraints(blocks)
                 out = fz.solve_feasibility(system, config)
                 # The engine run behind the outcome: a certificate comes from
                 # its affine point, which satisfies the constraints exactly.
@@ -279,7 +283,7 @@ class TestSolveFeasibility:
                 assert run.converged == (out.status == "Feasible")
                 if out.status == "Feasible":
                     assert system.residual(run.affine_point) <= 1e-12
-                    verified += fz._check_certificate(out.certificate, state, "EtoB")[0]
+                    verified += fz._check_certificate(out.certificate, blocks)[0]
         assert verified >= 19
 
     @pytest.mark.parametrize("seed", [4, 20, 79, 154])
@@ -288,11 +292,11 @@ class TestSolveFeasibility:
         # Choi-18 runs on a plateau; they now stop on a PSD affine point or a
         # Kraus-form finish well before it applies.
         config = fz.SolveConfig(max_iter=1000)
-        state = planted_state(seed, 2, 3, 2)
-        out = fz.solve_feasibility(fz.build_constraints(states.extract_blocks(state), "EtoB"), config)
+        blocks = states.extract_blocks(planted_state(seed, 2, 3, 2))
+        out = fz.solve_feasibility(fz.build_constraints(blocks), config)
         assert out.status == "Feasible"
         assert out.iterations < linalg.STALL_WINDOW
-        ok, note = fz._check_certificate(out.certificate, state, "EtoB")
+        ok, note = fz._check_certificate(out.certificate, blocks)
         assert ok, note
 
     @pytest.mark.parametrize(
@@ -311,11 +315,11 @@ class TestSolveFeasibility:
             system = TestOneProjectionEngine.sec4_system()
         elif case == "bell_lift":
             blocks = states.extract_blocks(states.build_fixture("bell_lift"))
-            system = fz.build_constraints(blocks, "BtoE")
+            system = fz.build_constraints(blocks.swapped())
         else:
             n, p, e2 = (2, 4, 1) if case == "choi16" else (2, 3, 2)
             seed = 3 if case == "choi16" else 0
-            system = fz.build_constraints(states.extract_blocks(planted_state(seed, n, p, e2)), "EtoB")
+            system = fz.build_constraints(states.extract_blocks(planted_state(seed, n, p, e2)))
         dim = system.in_dim * system.out_dim
         result = linalg.alternating_projections(
             system.project_and_residual,
@@ -333,7 +337,7 @@ class TestSolveFeasibility:
     def test_solver_never_rules_out_without_witness(self):
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
-        out = fz.solve_feasibility(fz.build_constraints(blocks, "EtoB"))
+        out = fz.solve_feasibility(fz.build_constraints(blocks))
         assert out.status != "RuledOut"
 
 
@@ -344,7 +348,7 @@ class TestOneProjectionEngine:
     def sec4_system() -> fz.AffineSystem:
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
-        return fz.build_constraints(blocks, "EtoB")
+        return fz.build_constraints(blocks)
 
     @pytest.mark.parametrize(
         "case", ["choi16", "choi18", "example2", "sec4", "sec4 perturbed start"]
@@ -354,11 +358,11 @@ class TestOneProjectionEngine:
             system = self.sec4_system()
         elif case == "example2":
             ex = states.build_fixture("example2", a=0.5, b=0.5)
-            system = fz.build_constraints(states.extract_blocks(ex), "EtoB")
+            system = fz.build_constraints(states.extract_blocks(ex))
         else:
             n, p, e2 = (2, 4, 1) if case == "choi16" else (2, 3, 2)
             blocks = states.extract_blocks(planted_state(0, n, p, e2))
-            system = fz.build_constraints(blocks, "EtoB")
+            system = fz.build_constraints(blocks)
         if case == "sec4 perturbed start":
             start = perturbed_start(system)
         else:
@@ -387,7 +391,7 @@ class TestOneProjectionEngine:
         # A finish that scales its polished K K* by 1.01 breaks trace
         # preservation by 1 %; the engine must reject every such candidate and
         # end exactly as it does without a finish.
-        system = fz.build_constraints(states.extract_blocks(planted_state(3, 2, 4, 1)), "EtoB")
+        system = fz.build_constraints(states.extract_blocks(planted_state(3, 2, 4, 1)))
         dim = system.in_dim * system.out_dim
         start = np.eye(dim, dtype=complex) / system.out_dim
         offered = []
@@ -442,7 +446,7 @@ class TestKrausNewton:
     def test_polishes_a_perturbed_identity_onto_the_affine_set(self):
         # Every slice of a planted (2,4,1) state is symmetric, so the identity
         # channel, a rank-one Choi matrix, solves the system exactly.
-        system = fz.build_constraints(states.extract_blocks(planted_state(0, 2, 4, 1)), "EtoB")
+        system = fz.build_constraints(states.extract_blocks(planted_state(0, 2, 4, 1)))
         K = np.eye(4, dtype=complex).reshape(-1, 1)
         assert system.residual(K @ K.conj().T) <= 1e-15
         bent = K + 1e-2 * crandn(rng(1), 16, 1)
@@ -452,7 +456,7 @@ class TestKrausNewton:
         assert linalg.min_eig(system.project(J)) >= -1e-12
 
     def test_declines_when_unknowns_outnumber_equations(self):
-        system = fz.build_constraints(states.extract_blocks(planted_state(0, 2, 4, 1)), "EtoB")
+        system = fz.build_constraints(states.extract_blocks(planted_state(0, 2, 4, 1)))
         assert system.kraus_newton(np.eye(16, dtype=complex)) is None
         assert system.kraus_newton(np.zeros((16, 0), dtype=complex)) is None
 
@@ -504,16 +508,16 @@ class TestExtractKraus:
 
 class TestVerifyChannel:
     def test_identity_on_ghz_is_exact(self):
-        ghz = states.build_fixture("ghz")
+        blocks = states.extract_blocks(states.build_fixture("ghz"))
         ks = fz.KrausSet([np.eye(2, dtype=complex)])
-        assert fz.verify_channel(ks, ghz, "EtoB") == 0.0
-        assert fz.verify_channel(ks, ghz, "BtoE") == 0.0
+        assert fz.verify_channel(ks, blocks) == 0.0
+        assert fz.verify_channel(ks, blocks.swapped()) == 0.0
 
     def test_reference_kraus_on_example2(self):
         ex = states.build_fixture("example2", a=0.5, b=0.5)
         ks = example2_reference_kraus(0.5, 0.5)
         assert ks.completeness_defect() <= 1e-12
-        assert fz.verify_channel(ks, ex, "EtoB") <= 1e-12
+        assert fz.verify_channel(ks, states.extract_blocks(ex)) <= 1e-12
 
     def test_section3_map_works_only_for_equal_weights(self):
         # G = (a^2+b^2)^{-1/2} [[a, b], [a, -b]] sends X3 to X2 iff a = b.
@@ -521,39 +525,68 @@ class TestVerifyChannel:
             a, b = np.sqrt(a2), np.sqrt(b2)
             ex = states.build_fixture("example2", a=a, b=b)
             G = np.array([[a, b], [a, -b]], dtype=complex) / np.sqrt(a2 + b2)
-            residual = fz.verify_channel(fz.KrausSet([G]), ex, "BtoE")
+            residual = fz.verify_channel(fz.KrausSet([G]), states.extract_blocks(ex).swapped())
             if good:
                 assert residual <= 1e-12
             else:
                 assert residual > 1e-3
 
     def test_dimension_mismatch_rejected(self):
-        ghz = states.build_fixture("ghz")
+        blocks = states.extract_blocks(states.build_fixture("ghz"))
         ks = fz.KrausSet([np.eye(3, dtype=complex)])
         with pytest.raises(ValueError, match="channel maps"):
-            fz.verify_channel(ks, ghz, "EtoB")
+            fz.verify_channel(ks, blocks)
 
     def test_batched_form_matches_pair_loop(self):
         gen = rng(23)
         for dims in [(1, 2, 2), (2, 2, 3), (3, 3, 2), (4, 2, 2), (5, 3, 3)]:
             n, p, q = dims
             state = states.TripartiteState(dims, random_state_vector(gen, n * p * q))
-            for direction, (d_in, d_out) in (("EtoB", (q, p)), ("BtoE", (p, q))):
+            for direction, family in both_directions(states.extract_blocks(state)):
+                d_in, d_out = (q, p) if direction == "EtoB" else (p, q)
                 for r in (2, 3):
                     ks = fz.KrausSet(random_kraus(gen, d_out, d_in, r))
                     want = verify_channel_oracle(ks, state, direction)
-                    got = fz.verify_channel(ks, state, direction)
+                    got = fz.verify_channel(ks, family)
                     assert abs(got - want) <= 1e-13 * want, (dims, direction, r)
 
 
 class TestDecide:
+    @pytest.mark.parametrize("direction", ["EtoE", "both", "etob"])
+    def test_rejects_unknown_direction(self, direction):
+        ghz = states.build_fixture("ghz")
+        with pytest.raises(ValueError, match=r"direction must be one of \('EtoB', 'BtoE'\)"):
+            fz.decide(ghz, direction)
+
+    @pytest.mark.parametrize("state", [pytest.param(s, id=k) for k, s in swap_cases()])
+    def test_each_direction_is_the_other_on_the_transposed_state(self, state):
+        swapped = swap_b_and_e(state)
+        for direction, other in (("BtoE", "EtoB"), ("EtoB", "BtoE")):
+            got, want = fz.decide(state, direction), fz.decide(swapped, other)
+            assert (got.status, got.stage) == (want.status, want.stage)
+            label = got.filter_witness and got.filter_witness.label
+            assert label == (want.filter_witness and want.filter_witness.label)
+
     def test_example2_symmetric_feasible_both_directions(self):
         ex = states.build_fixture("example2", a=0.5, b=0.5)
-        for direction in ("EtoB", "BtoE"):
+        for direction, family in both_directions(states.extract_blocks(ex)):
             out = fz.decide(ex, direction)
             assert out.status == "Feasible"
-            assert fz.verify_channel(out.certificate, ex, direction) <= 1e-7
+            assert fz.verify_channel(out.certificate, family) <= 1e-7
             assert out.certificate.completeness_defect() <= 1e-8
+
+    def test_btoe_rank_one_certificate_uses_the_factors_of_the_r_stack(self):
+        # B->E swaps the decomposition detected on the R stack; detecting on
+        # the S stack would change the phases of u_i, v_i and the certificate.
+        state = states.build_fixture("example2", a=0.5, b=0.5)
+        out = fz.decide(state, "BtoE")
+        assert (out.status, out.stage) == ("Feasible", "rank_one")
+        dec = rank_one.detect_rank_one(states.extract_blocks(state.unit())).swapped()
+        _, cert, _ = rank_one.check_condition_e(dec)
+        want = rank_one.kraus_from_correlation(dec, cert)
+        assert len(out.certificate.operators) == len(want)
+        for got, expected in zip(out.certificate.operators, want):
+            assert got.tobytes() == expected.tobytes()
 
     def test_example2_asymmetric_split_verdict(self):
         a, b = np.sqrt(0.4), np.sqrt(0.1)
@@ -571,7 +604,8 @@ class TestDecide:
         ghz = states.build_fixture("ghz")
         out = fz.decide(ghz, "BtoE")
         assert out.status == "Feasible"
-        assert fz.verify_channel(out.certificate, ghz.unit(), "BtoE") <= 1e-12
+        swapped = states.extract_blocks(ghz.unit()).swapped()
+        assert fz.verify_channel(out.certificate, swapped) <= 1e-12
 
     def test_sec4_ruled_out_at_filter_stage(self):
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
@@ -587,7 +621,7 @@ class TestDecide:
             out = fz.decide(st2, "EtoB")
             assert out.status == "Feasible"
             assert out.stage == "sdp"
-            assert fz.verify_channel(out.certificate, st2.unit(), "EtoB") <= 1e-7
+            assert fz.verify_channel(out.certificate, states.extract_blocks(st2.unit())) <= 1e-7
 
     def test_scale_invariance_of_verdicts(self):
         cases = [
@@ -607,8 +641,8 @@ class TestDecide:
             st2 = states.TripartiteState((2, 2, 2), crandn(gen, 8))
             out = fz.decide(st2, "EtoB")
             blocks = states.extract_blocks(st2.unit())
-            pair = pair_filter(blocks, "EtoB")
-            rand = random_witness_filter(blocks, "EtoB", 50, seed=seed)
+            pair = pair_filter(blocks)
+            rand = random_witness_filter(blocks, 50, seed=seed)
             if out.status == "Feasible":
                 assert not pair.violated and not rand.violated
             if pair.violated or rand.violated:
@@ -716,22 +750,62 @@ class TestRankOneFirst:
         state = state_from_decomposition(schur_yes_decomposition(rng(8), 8, 2, 8))
         out = fz.decide(state, "EtoB")
         assert (out.status, out.stage) == ("Feasible", "rank_one")
-        assert fz.verify_channel(out.certificate, state.unit(), "EtoB") <= 1e-7
+        assert fz.verify_channel(out.certificate, states.extract_blocks(state.unit())) <= 1e-7
         assert out.certificate.completeness_defect() <= linalg.COMPLETENESS_TOL
 
     def test_generic_family_still_reaches_the_pair_filter(self, monkeypatch):
         calls = []
         original = fz.pair_filter
 
-        def spy(blocks, direction, *args):
-            calls.append(direction)
-            return original(blocks, direction, *args)
+        def spy(blocks, *args):
+            calls.append(blocks.count)
+            return original(blocks, *args)
 
         monkeypatch.setattr(fz, "pair_filter", spy)
         state = states.TripartiteState((8, 3, 3), random_state_vector(rng(3), 72))
         out = fz.decide(state, "EtoB")
-        assert calls == ["EtoB"]
+        assert calls == [8]
         assert (out.status, out.stage) == ("RuledOut", "filter")
+
+    def test_deferral_reason_reaches_the_detail(self, monkeypatch):
+        # The condition-(e) family of test_completion_reason_names_the_stop:
+        # with a one-iteration completion budget the rank-one stage defers.
+        x = 0.9 / np.sqrt(2)
+        state = state_from_decomposition(rank_one.RankOneDecomposition(
+            u=[np.array([1.0, 0.0, 0.0]), np.array([x, x, np.sqrt(1 - 2 * x * x)]),
+               np.array([0.0, 1.0, 0.0])],
+            d=[1.0] * 3,
+            v=[np.array([1.0, 0.0]), unit(np.array([1.0, 1.0])), np.array([0.0, 1.0])],
+        ))
+        assert fz.decide(state, "EtoB").stage == "rank_one"
+        monkeypatch.setattr(rank_one, "COMPLETION_MAX_ITER", 1)
+        out = fz.decide(state, "EtoB")
+        assert (out.status, out.stage) == ("Feasible", "sdp")
+        assert out.detail.startswith(
+            "condition (e) deferred: PSD completion: projections iteration budget "
+            "exhausted after 1 iterations (affine residual "
+        )
+        assert "; Kraus-form Gauss-Newton finish at iteration 32; verified " in out.detail
+
+    def test_indefinite_forced_c_defers_with_its_reason(self):
+        # The family of test_indefinite_fully_forced_c_is_no_without_a_pair:
+        # condition (e) says No but names no entry, so the pair filter decides.
+        G_v = np.full((3, 3), 0.5) + 0.5 * np.eye(3)
+        C = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1]], dtype=float)
+        w, W = np.linalg.eigh(G_v * C)
+        M = np.sqrt(np.clip(w, 0, None))[:, None] * W.T
+        L = np.linalg.cholesky(G_v)
+        state = state_from_decomposition(rank_one.RankOneDecomposition(
+            u=[M[:, i].astype(complex) for i in range(3)],
+            d=[1.0] * 3,
+            v=[L[i].astype(complex) for i in range(3)],
+        ))
+        out = fz.decide(state, "EtoB")
+        assert (out.status, out.stage) == ("RuledOut", "filter")
+        assert out.detail == (
+            "condition (e) deferred: fully forced C has min eigenvalue -1 < 0, and no "
+            "single entry refutes it; pair filter: 10 violating witnesses"
+        )
 
     @pytest.mark.parametrize(
         "state, direction, label, reason",

@@ -10,6 +10,7 @@ from degradability import filters, linalg, states
 
 from helpers import (
     apply_kraus,
+    both_directions,
     conjugate_twin_label,
     crandn,
     depolarizing_lift_state,
@@ -26,9 +27,9 @@ from helpers import (
 )
 
 
-def pair_norms_by_label(blocks: states.BlockFamily, direction: str) -> dict:
+def pair_norms_by_label(blocks: states.BlockFamily) -> dict:
     """The pair filter's (d_in, d_out) for every witness it evaluates, by label."""
-    d_in, d_out = filters._pair_norms(blocks, direction)
+    d_in, d_out = filters._pair_norms(blocks)
     labels = filters._pair_index(blocks.count).labels
     return dict(zip(labels, zip(d_in.tolist(), d_out.tolist())))
 
@@ -48,19 +49,19 @@ class TestPairFilter:
         for eps, expected in [(0.1, "RuledOut"), (0.24, "RuledOut"),
                               (0.25, "Passed"), (0.3, "Passed")]:
             blocks = states.extract_blocks(depolarizing_lift_state(eps))
-            assert filters.pair_filter(blocks, "EtoB").verdict == expected
+            assert filters.pair_filter(blocks).verdict == expected
 
     def test_depolarizing_witness_values_at_eps_01(self):
         blocks = states.extract_blocks(depolarizing_lift_state(0.1))
-        assert filters.pair_filter(blocks, "EtoB").violated
-        d_in, d_out = pair_norms_by_label(blocks, "EtoB")["pair (0,0) - (1,1)"]
+        assert filters.pair_filter(blocks).violated
+        d_in, d_out = pair_norms_by_label(blocks)["pair (0,0) - (1,1)"]
         assert d_in == pytest.approx(0.4131, abs=5e-5)
         assert d_out == pytest.approx(0.8667, abs=5e-5)
 
     def test_ghz_passes_both_directions(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
-        for direction in filters.DIRECTIONS:
-            report = filters.pair_filter(blocks, direction)
+        for family in (blocks, blocks.swapped()):
+            report = filters.pair_filter(family)
             assert report.verdict == "Passed"
             assert (report.violations, report.witness) == (0, None)
             assert report.evaluated == 7
@@ -68,34 +69,34 @@ class TestPairFilter:
     def test_example2_asymmetric_ruled_out_btoe_only(self):
         a, b = np.sqrt(0.35), np.sqrt(0.15)
         blocks = states.extract_blocks(states.build_fixture("example2", a=a, b=b))
-        btoe = filters.pair_filter(blocks, "BtoE")
+        btoe = filters.pair_filter(blocks.swapped())
         assert btoe.verdict == "RuledOut"
-        d_in, d_out = pair_norms_by_label(blocks, "BtoE")["pair (0,0) - (1,1)"]
+        d_in, d_out = pair_norms_by_label(blocks.swapped())["pair (0,0) - (1,1)"]
         assert d_in == pytest.approx(2 * a * b)
         assert d_out == pytest.approx(a * a + b * b)
-        assert filters.pair_filter(blocks, "EtoB").verdict == "Passed"
+        assert filters.pair_filter(blocks).verdict == "Passed"
 
     def test_example2_symmetric_passes(self):
         blocks = states.extract_blocks(states.build_fixture("example2", a=0.5, b=0.5))
-        for direction in filters.DIRECTIONS:
-            assert filters.pair_filter(blocks, direction).verdict == "Passed"
+        for family in (blocks, blocks.swapped()):
+            assert filters.pair_filter(family).verdict == "Passed"
 
     def test_sec4_caught_by_pair_filter(self):
         blocks = states.extract_blocks(
             states.build_fixture("sec4", alpha=np.sqrt(0.8), a=np.sqrt(0.65))
         )
-        etob = filters.pair_filter(blocks, "EtoB")
+        etob = filters.pair_filter(blocks)
         assert etob.verdict == "RuledOut"
         assert etob.violations == 4
-        assert filters.pair_filter(blocks, "BtoE").verdict == "RuledOut"
+        assert filters.pair_filter(blocks.swapped()).verdict == "RuledOut"
 
     @pytest.mark.parametrize("eps", [0.1, 0.2])
     def test_witness_is_the_strongest_violator(self, eps):
         blocks = states.extract_blocks(depolarizing_lift_state(eps))
-        report = filters.pair_filter(blocks, "EtoB")
+        report = filters.pair_filter(blocks)
         violators = [
             (y - x, label)
-            for label, (x, y) in pair_norms_by_label(blocks, "EtoB").items()
+            for label, (x, y) in pair_norms_by_label(blocks).items()
             if x < y - filters.DEFAULT_SLACK_TOL
         ]
         assert report.violations == len(violators) > 1
@@ -104,33 +105,28 @@ class TestPairFilter:
         assert report.witness.margin == best
         assert report.witness.label == min(tied)
 
-    def test_rejects_bad_direction(self):
-        blocks = states.extract_blocks(states.build_fixture("ghz"))
-        with pytest.raises(ValueError, match="direction"):
-            filters.pair_filter(blocks, "EtoE")
-
 
 class TestRandomWitnessFilter:
     def test_ghz_never_violates(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
         for seed in (0, 1, 2):
-            report = filters.random_witness_filter(blocks, "EtoB", 60, seed)
+            report = filters.random_witness_filter(blocks, 60, seed)
             assert report.verdict == "Passed"
             assert report.evaluated == 60
 
     def test_deterministic_given_seed(self):
         blocks = states.extract_blocks(depolarizing_lift_state(0.15))
-        r1 = filters.random_witness_filter(blocks, "EtoB", 40, 11)
-        r2 = filters.random_witness_filter(blocks, "EtoB", 40, 11)
+        r1 = filters.random_witness_filter(blocks, 40, 11)
+        r2 = filters.random_witness_filter(blocks, 40, 11)
         assert r1.violated and r1.violations == r2.violations
         assert (r1.witness.label, r1.witness.d_in) == (r2.witness.label, r2.witness.d_in)
-        for x, y in zip(filters._random_witnesses(blocks, "EtoB", 40, 11),
-                        filters._random_witnesses(blocks, "EtoB", 40, 11)):
+        for x, y in zip(filters._random_witnesses(blocks, 40, 11),
+                        filters._random_witnesses(blocks, 40, 11)):
             assert np.array_equal(x, y)
 
     def test_depolarizing_eps_02_caught(self):
         blocks = states.extract_blocks(depolarizing_lift_state(0.2))
-        report = filters.random_witness_filter(blocks, "EtoB", 100, 0)
+        report = filters.random_witness_filter(blocks, 100, 0)
         assert report.verdict == "RuledOut"
         lam = np.diag([1.0, -1.0]).astype(complex)
         d_in = linalg.trace_norm(filters.combination(blocks.R, lam))
@@ -141,14 +137,14 @@ class TestRandomWitnessFilter:
         blocks = states.extract_blocks(
             states.build_fixture("sec4", alpha=np.sqrt(0.8), a=np.sqrt(0.65))
         )
-        report = filters.random_witness_filter(blocks, "EtoB", 500, 7)
+        report = filters.random_witness_filter(blocks, 500, 7)
         assert report.verdict == "RuledOut"
         assert report.violations == 23
 
     def test_rejects_zero_count(self):
         blocks = states.extract_blocks(states.build_fixture("ghz"))
         with pytest.raises(ValueError, match="count"):
-            filters.random_witness_filter(blocks, "EtoB", 0, 0)
+            filters.random_witness_filter(blocks, 0, 0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -198,20 +194,18 @@ def assert_filters_match_loops(state: states.TripartiteState, seed: int) -> None
     blocks = states.extract_blocks(state.unit())
     n = blocks.count
     drawn = random_witness_coefficients_oracle(n, 60, seed)
-    for direction in filters.DIRECTIONS:
+    for direction, family in both_directions(blocks):
         every = restrict_to_canonical_twins(pair_filter_oracle(blocks, direction, -np.inf), n)
-        assert_norms_match(pair_norms_by_label(blocks, direction), every)
-        assert_reports_strongest(
-            filters.pair_filter(blocks, direction), violated(every), len(every)
-        )
+        assert_norms_match(pair_norms_by_label(family), every)
+        assert_reports_strongest(filters.pair_filter(family), violated(every), len(every))
 
         every = random_witness_filter_oracle(blocks, direction, 60, seed, -np.inf)
-        _, d_in, d_out = filters._random_witnesses(blocks, direction, 60, seed)
+        _, d_in, d_out = filters._random_witnesses(family, 60, seed)
         assert_norms_match(
             {label: (x, y) for (_, label), x, y in zip(drawn, d_in, d_out)}, every
         )
         assert_reports_strongest(
-            filters.random_witness_filter(blocks, direction, 60, seed), violated(every), 60
+            filters.random_witness_filter(family, 60, seed), violated(every), 60
         )
 
 
@@ -237,28 +231,28 @@ class TestBatchedFiltersMatchLoops:
 
     def test_generic_8_3_3(self):
         state = states.TripartiteState((8, 3, 3), random_state_vector(rng(3), 72))
-        assert filters.pair_filter(states.extract_blocks(state), "EtoB").violated
+        assert filters.pair_filter(states.extract_blocks(state)).violated
         assert_filters_match_loops(state, 0)
 
     def test_schur_8_2_8(self):
         # E -> B holds here, while every B -> E pair witness is violated.
         state = state_from_decomposition(schur_yes_decomposition(rng(8), 8, 2, 8))
         blocks = states.extract_blocks(state.unit())
-        assert not filters.pair_filter(blocks, "EtoB").violated
-        assert filters.pair_filter(blocks, "BtoE").violations == 2422
+        assert not filters.pair_filter(blocks).violated
+        assert filters.pair_filter(blocks.swapped()).violations == 2422
         assert_filters_match_loops(state, 0)
 
     def test_chunking_leaves_the_report_unchanged(self, monkeypatch):
         state = states.TripartiteState((4, 2, 3), random_state_vector(rng(6), 24))
         blocks = states.extract_blocks(state.unit())
-        whole = filters._pair_norms(blocks, "EtoB")
-        report = filters.pair_filter(blocks, "EtoB")
+        whole = filters._pair_norms(blocks)
+        report = filters.pair_filter(blocks)
         monkeypatch.setattr(filters, "PAIR_CHUNK", 7)
-        chunked = filters._pair_norms(blocks, "EtoB")
+        chunked = filters._pair_norms(blocks)
         assert len(whole[0]) > 7
         for x, y in zip(whole, chunked):
             assert np.array_equal(x, y)
-        again = filters.pair_filter(blocks, "EtoB")
+        again = filters.pair_filter(blocks)
         assert (again.evaluated, again.violations) == (report.evaluated, report.violations)
         assert (again.witness.label, again.witness.d_in, again.witness.d_out) == (
             report.witness.label, report.witness.d_in, report.witness.d_out
@@ -276,10 +270,10 @@ class TestBatchedFiltersMatchLoops:
     def test_dropped_twins_match_their_kept_twin(self, state):
         blocks = states.extract_blocks(state.unit())
         n = blocks.count
-        for direction in filters.DIRECTIONS:
+        for direction, family in both_directions(blocks):
             # A slack of -inf makes the loop return every pair witness.
             full = pair_filter_oracle(blocks, direction, -np.inf)
-            kept = pair_norms_by_label(blocks, direction)
+            kept = pair_norms_by_label(family)
             assert set(kept) == {w.label for w in restrict_to_canonical_twins(full, n)}
             dropped = [w for w in full if w.label not in kept]
             assert len(dropped) + len(kept) == len(full)
@@ -291,7 +285,7 @@ class TestBatchedFiltersMatchLoops:
     def test_random_coefficients_follow_the_draw_order(self, seed):
         state = states.TripartiteState((8, 3, 3), random_state_vector(rng(3), 72))
         blocks = states.extract_blocks(state)
-        lam, _, _ = filters._random_witnesses(blocks, "EtoB", 200, seed)
+        lam, _, _ = filters._random_witnesses(blocks, 200, seed)
         expected = random_witness_coefficients_oracle(blocks.count, 200, seed)
         assert len(lam) == len(expected) == 200
         for k, (coefficients, _) in enumerate(expected):
@@ -309,12 +303,12 @@ class TestBatchedFiltersMatchLoops:
         blocks = states.extract_blocks(states.TripartiteState((n, p, q), x).unit())
         i, j = sorted(gen.choice(n, 2, replace=False).tolist())
         labels = {f"pair ({i},{i}) - ({j},{j})", f"pair ({i},{j}) - ({j},{i})"}
-        for direction in filters.DIRECTIONS:
+        for direction, family in both_directions(blocks):
             every = [w for w in pair_filter_oracle(blocks, direction, -np.inf) if w.label in labels]
             assert len(every) == 2
             for entry in ((i, j), (j, i)):
                 assert_reports_strongest(
-                    filters.refutation_filter(blocks, direction, *entry), violated(every), 2
+                    filters.refutation_filter(family, *entry), violated(every), 2
                 )
 
 

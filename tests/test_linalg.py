@@ -246,7 +246,7 @@ def test_converged_affine_point_satisfies_the_affine_set():
     # A planted E -> B state (Choi 16): chi is symmetric under B <-> E.
     Z = crandn(rng(0), 2, 4, 4)
     state = states.TripartiteState((2, 4, 4), ((Z + Z.transpose(0, 2, 1)) / 2).reshape(-1))
-    system = feasibility.build_constraints(states.extract_blocks(state), "EtoB")
+    system = feasibility.build_constraints(states.extract_blocks(state))
     dim = system.in_dim * system.out_dim
     res = linalg.alternating_projections(
         system.project_and_residual, start=np.eye(dim, dtype=complex)

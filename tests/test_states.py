@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from degradability import linalg, states
 
-from helpers import partial_trace_oracle, random_state_vector, rng
+from helpers import partial_trace_oracle, random_state_vector, rng, swap_b_and_e, swap_cases
 
 
 class TestTripartiteState:
@@ -180,3 +180,14 @@ class TestFixtureValidation:
     def test_unexpected_parameter(self):
         with pytest.raises(ValueError, match="takes parameters"):
             states.build_fixture("ghz", a=0.3)
+
+
+class TestSwappedFamily:
+    @pytest.mark.parametrize("state", [pytest.param(s, id=k) for k, s in swap_cases()])
+    def test_is_the_family_of_the_transposed_state(self, state):
+        # Exchanging B and E only relabels the blocks, bit for bit.
+        want = states.extract_blocks(swap_b_and_e(state))
+        got = states.extract_blocks(state).swapped()
+        for name in ("S", "R", "G_R", "G_S"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
