@@ -168,7 +168,9 @@ def epsilon_scan(
         raise ValueError(f"scan range must satisfy 0 <= lo < hi <= 3/4, got [{lo}, {hi}]")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    grid = np.round(np.arange(lo, hi + step / 2, step), 12)
+    # The stop absorbs the rounding of a last point that lands on hi; the
+    # minimum keeps a rounded point from passing it.
+    grid = np.minimum(np.round(np.arange(lo, hi + 1e-9 * step, step), 12), hi)
     diag = np.diag([1.0, -1.0]).astype(complex)
     rows = []
     for eps in grid:

@@ -93,7 +93,7 @@ def _outcome_lines(direction: str, outcome: FeasibilityOutcome) -> list[str]:
         lines.append(f"  witness {w.label}: d_in {w.d_in:.6g} < d_out {w.d_out:.6g}")
     if outcome.status == "Inconclusive" and outcome.residual_affine is not None:
         lines.append(
-            f"  stall residual: affine {outcome.residual_affine:.6g} after "
+            f"  affine residual {outcome.residual_affine:.6g} after "
             f"{outcome.iterations} iteration(s)"
         )
     if outcome.detail:

@@ -66,7 +66,8 @@ class AffineSystem:
     least-squares images C. The affine set is Q Jm = C together with trace
     preservation on the complement of span Q; residuals are measured against
     the weighted pairs themselves, so an inconsistent system has a positive
-    residual floor equal to ``inconsistency`` and can never converge.
+    residual floor equal to ``inconsistency``, and the engine ends its run
+    at iteration 0.
     ``raw_rows`` counts the real equations the constraints amount to.
 
     ``project`` and ``residual`` state the two maps on their own;
@@ -319,11 +320,12 @@ def solve_feasibility(
 ) -> FeasibilityOutcome:
     """Douglas–Rachford splitting between the affine set and the PSD cone.
 
-    The run stops at the first certifiable point: a cone iterate X within
-    ``linalg.FEAS_TOL`` of the affine set whose projection P_aff(X) is PSD,
-    a PSD P_aff(X) on a consistent affine set, or a K K* polished by
-    ``AffineSystem.kraus_newton`` (tried at iterations 32, 64, 128, ...) that
-    passes the first test. Feasible outcomes carry the Kraus certificate
+    A linearly inconsistent system, one whose residual floor is above
+    ``linalg.FEAS_TOL``, ends Inconclusive at iteration 0 with the floor as
+    ``residual_affine``. On a consistent system the run stops at the first
+    certifiable point: a PSD affine projection P_aff(X) of a cone iterate X
+    or of a K K* polished by ``AffineSystem.kraus_newton`` (tried at
+    iterations 32, 64, 128, ...). Feasible outcomes carry the Kraus certificate
     extracted from that affine point, which satisfies the affine constraints,
     trace preservation included, exactly, so the certificate's completeness
     defect comes only from the near-zero eigenvalues that extraction drops.

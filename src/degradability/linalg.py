@@ -139,18 +139,18 @@ def reduce_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Vh[:rank], c
 
 
-# Ways a Douglas–Rachford run ends; the first three certify a point.
-CERTIFYING_STOPS = ("converged", "affine_psd", "kraus_newton")
+# Ways a Douglas–Rachford run ends; the first two certify a point.
+CERTIFYING_STOPS = ("affine_psd", "kraus_newton")
 # Outcome detail for each stop, formatted with the iteration count.
 STOP_DETAIL = {
-    "converged": "converged in {} iterations",
     "affine_psd": "affine point PSD after {} iterations",
     "kraus_newton": "Kraus-form Gauss-Newton finish at iteration {}",
+    "inconsistent": "affine constraints linearly inconsistent, stopped after {} iterations",
     "stalled": "projections stalled after {} iterations",
     "budget": "projections iteration budget exhausted after {} iterations",
 }
-# A point certifies when its affine residual is at most FEAS_TOL and its
-# affine projection has no eigenvalue below -PSD_TOL.
+# An affine set is consistent when its residual floor is at most FEAS_TOL; a
+# point of it certifies when it has no eigenvalue below -PSD_TOL.
 FEAS_TOL = 1e-8
 PSD_TOL = 1e-9
 # A run stalls when the best residual over STALL_WINDOW iterations improves on
@@ -159,8 +159,9 @@ STALL_WINDOW = 500
 STALL_TOL = 1e-12
 # The finish callback runs at iterations FINISH_FROM, 2·FINISH_FROM, 4·FINISH_FROM, ...
 FINISH_FROM = 32
-# The affine_psd stop is tested at every iteration up to PSD_CHECK_DENSE and
-# at every PSD_CHECK_EVERY-th iteration after that.
+# A cone iterate farther than FEAS_TOL from the affine set has its affine point
+# tested at every iteration up to PSD_CHECK_DENSE and at every
+# PSD_CHECK_EVERY-th iteration after that.
 PSD_CHECK_DENSE = 64
 PSD_CHECK_EVERY = 8
 
@@ -169,22 +170,26 @@ PSD_CHECK_EVERY = 8
 class ProjectionResult:
     """Outcome of a Douglas–Rachford run (see ``alternating_projections``).
 
-    ``point`` is the last PSD-cone iterate X, or the finish's candidate K K*
-    after a ``kraus_newton`` stop, and ``affine_point`` is its affine
-    projection, which satisfies the affine constraints exactly. ``stop`` says
-    why the run ended:
+    ``point`` is the last PSD-cone iterate X, the finish's candidate K K*
+    after a ``kraus_newton`` stop, or the (Hermitian part of the) start after
+    an ``inconsistent`` stop, and ``affine_point`` is its affine projection,
+    which satisfies the affine constraints as well as they can be met. ``stop``
+    says why the run ended:
 
-    - ``converged``: the residual of ``point`` is at most ``FEAS_TOL`` and
-      ``affine_point`` is PSD up to ``PSD_TOL``;
-    - ``affine_psd``: ``affine_point`` is PSD up to ``PSD_TOL`` and the affine
-      set's own residual floor is at most ``FEAS_TOL``;
-    - ``kraus_newton``: the finish's K K* passed the ``converged`` test;
+    - ``affine_psd``: ``affine_point``, the projection of a cone iterate, is
+      PSD up to ``PSD_TOL``;
+    - ``kraus_newton``: ``affine_point``, the projection of the finish's
+      K K*, is PSD up to ``PSD_TOL``;
+    - ``inconsistent``: the affine set's residual floor is above
+      ``FEAS_TOL``, so no point of it can certify; the run ends at
+      iteration 0;
     - ``stalled``: the window stall rule ended the run;
     - ``budget``: ``max_iter`` iterations ran out.
 
-    ``residual_affine`` is the residual of the point the run stands on: of
-    ``affine_point`` (the floor) after an ``affine_psd`` stop, of ``point``
-    otherwise. ``residual_psd`` is measured at ``affine_point``.
+    ``residual_affine`` is the affine set's residual floor, the residual of
+    ``affine_point``, after a certifying or ``inconsistent`` stop, and the
+    residual of ``point`` otherwise. ``residual_psd`` is measured at
+    ``affine_point``.
     """
 
     point: np.ndarray
@@ -203,20 +208,6 @@ class ProjectionResult:
         return self.stop == "stalled"
 
 
-def _psd_screen(Y: np.ndarray, shift: np.ndarray) -> bool:
-    """Cheap necessary test for ``min_eig(Y) >= -PSD_TOL``: a Cholesky of Y + shift.
-
-    The engine passes shift = 2·PSD_TOL·I. The doubled tolerance keeps the
-    screen looser than the test it guards, so a matrix the exact test would
-    accept is never screened out by rounding.
-    """
-    try:
-        np.linalg.cholesky(Y + shift)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def alternating_projections(
     project_affine: Callable[[np.ndarray], tuple[np.ndarray, float]],
     *,
@@ -232,70 +223,72 @@ def alternating_projections(
     Luke, J. Approx. Theory 127, 2004). P_aff is affine, so that step equals
     Z += 2 P_aff(X) - P_aff(Z) - X, and afterwards P_aff(Z) = P_aff(X). The
     loop therefore carries P_aff(Z) forward and evaluates the affine map once
-    per iteration, on X, plus once on ``start``; the same Y = P_aff(X) serves
-    the stop tests.
+    per iteration, on X; the same Y = P_aff(X) serves the stop test.
 
-    The run stops as soon as it holds a certifiable point (see
-    ``ProjectionResult.stop``): when the residual of X is at most ``FEAS_TOL``
-    and Y has no eigenvalue below ``-PSD_TOL`` (``converged``), or when Y is
-    PSD to ``PSD_TOL`` and the affine set's residual floor is at most
-    ``FEAS_TOL`` (``affine_psd``). Every point of the affine set has the same
-    residual, so the floor is evaluated once, as the residual of the first
-    PSD Y, and cached; an inconsistent set (floor above ``FEAS_TOL``) never
-    stops this way. A Cholesky screen spares the eigenvalues of most Y. The
-    first test runs at every iteration; the second at every iteration up to
-    ``PSD_CHECK_DENSE`` and at every ``PSD_CHECK_EVERY``-th after that, since
-    the screen costs 10–15 % of an iteration at small Choi sizes and, on the
-    benchmark corpora, every run that stopped this way did so by iteration 64.
+    Every point of the affine set has the same residual, its floor, so the
+    floor is evaluated once, before the loop, as the residual of
+    P_aff(start). A floor above ``FEAS_TOL`` means the set is linearly
+    inconsistent and no point of it can certify: the run ends at iteration 0
+    (``inconsistent``). On a consistent set the run stops as soon as an affine
+    point is PSD to ``PSD_TOL`` (see ``ProjectionResult.stop``): Y is tested
+    whenever the residual of X is at most ``FEAS_TOL``, and otherwise at every
+    iteration up to ``PSD_CHECK_DENSE`` and at every ``PSD_CHECK_EVERY``-th
+    after that, since the test's Cholesky screen costs 10–15 % of an
+    iteration at small Choi sizes and, on the benchmark corpora, every run
+    that stopped far from the set did so by iteration 64.
 
     ``finish(K)``, if given, is called at iterations 32, 64, 128, ... with
     the factor K of X = K K* and may return a candidate point (typically a
-    polished K K*) or None. A candidate is accepted only through the
-    ``converged`` test (``kraus_newton``).
+    polished K K*) or None. A candidate is accepted (``kraus_newton``) only
+    when its residual is at most ``FEAS_TOL`` and its affine point passes the
+    same PSD test.
 
     The run stalls when the best residual of X over a ``STALL_WINDOW``
     improves on the previous window's by less than ``STALL_TOL`` (relative).
-    The routine never claims the intersection is empty. The name is kept for
-    its callers and for the benchmark's trace spans, which wrap the function
-    by name and read ``start`` by keyword.
+    The routine never claims that a consistent set misses the cone. The name
+    is kept for its callers and for the benchmark's trace spans, which wrap
+    the function by name and read ``start`` by keyword.
     """
     if max_iter <= 0:
         raise ValueError("alternating_projections: max_iter must be positive")
-
-    def certifies(Y: np.ndarray, res: float) -> bool:
-        return res <= FEAS_TOL and min_eig(Y) >= -PSD_TOL
 
     # Z stays Hermitian up to rounding; the eigensolver reads only its lower triangle.
     Z = np.asarray(start, dtype=complex)
     Z = (Z + dagger(Z)) / 2
     PZ, _ = project_affine(Z)
+    floor = project_affine(PZ)[1]
     shift = 2 * PSD_TOL * np.eye(Z.shape[0])
-    floor = None
-    stop = "budget"
+
+    def certifies(Y: np.ndarray) -> bool:
+        # A Cholesky of Y + 2·PSD_TOL·I screens out most non-PSD Y before their
+        # eigenvalues; the doubled tolerance keeps the screen looser than the
+        # test, so rounding never screens out a Y the test would accept.
+        try:
+            np.linalg.cholesky(Y + shift)
+        except np.linalg.LinAlgError:
+            return False
+        return min_eig(Y) >= -PSD_TOL
+
+    # An inconsistent set ends the run before its first iteration.
+    stop = "inconsistent" if floor > FEAS_TOL else "budget"
+    X, Y, res_aff, it = Z, PZ, floor, 0
     window_best = np.inf
     prev_window_best = np.inf
-    for it in range(1, max_iter + 1):
+    while stop == "budget" and it < max_iter:
+        it += 1
         K = psd_factor(Z)
         X = K @ dagger(K)
         Y, res_aff = project_affine(X)
-        if certifies(Y, res_aff):
-            stop = "converged"
+        due = res_aff <= FEAS_TOL or it <= PSD_CHECK_DENSE or it % PSD_CHECK_EVERY == 0
+        if due and certifies(Y):
+            stop = "affine_psd"
             break
-        psd_check = (floor is None or floor <= FEAS_TOL) and (
-            it <= PSD_CHECK_DENSE or it % PSD_CHECK_EVERY == 0
-        )
-        if psd_check and _psd_screen(Y, shift) and min_eig(Y) >= -PSD_TOL:
-            if floor is None:
-                floor = project_affine(Y)[1]
-            if floor <= FEAS_TOL:
-                stop, res_aff = "affine_psd", floor
-                break
         if finish is not None and it >= FINISH_FROM and it & (it - 1) == 0:
             candidate = finish(K)
             if candidate is not None:
                 Y_c, res_c = project_affine(candidate)
-                if certifies(Y_c, res_c):
-                    X, Y, res_aff, stop = candidate, Y_c, res_c, "kraus_newton"
+                if res_c <= FEAS_TOL and certifies(Y_c):
+                    X, Y, stop = candidate, Y_c, "kraus_newton"
                     break
         window_best = min(window_best, res_aff)
         if it % STALL_WINDOW == 0:
@@ -311,7 +304,7 @@ def alternating_projections(
     return ProjectionResult(
         point=X,
         affine_point=Y,
-        residual_affine=res_aff,
+        residual_affine=floor if stop in CERTIFYING_STOPS else res_aff,
         residual_psd=max(0.0, -min_eig(Y)),
         iterations=it,
         stop=stop,

@@ -429,14 +429,14 @@ def douglas_rachford_oracle(
 ):
     """Reference Douglas–Rachford loop with two affine projections per step.
 
-    X = P_psd(Z) by eigenvalue clipping, then Z += P_aff(2X - Z) - X, with the
-    engine's stop rule and window stall rule: stop when P_aff(X) is PSD to
-    ``psd_tol`` and X has residual at most ``feas_tol``, or, at the
-    iterations the engine's schedule tests it, when P_aff(X) is PSD and has
-    residual at most ``feas_tol``.
-    Returns (iterations, converged, stalled, P_aff(X), floor_needed), where
-    ``floor_needed`` says whether some PSD P_aff(X) failed the first test,
-    so that the engine had to evaluate the affine set's residual floor.
+    An affine set whose residual floor, that of P_aff(start), is above
+    ``feas_tol`` ends the loop at iteration 0. Otherwise X = P_psd(Z) by
+    eigenvalue clipping, then Z += P_aff(2X - Z) - X, with the engine's single
+    stop test and window stall rule: stop when P_aff(X) is PSD to ``psd_tol``,
+    tested when X has residual at most ``feas_tol`` or at the iterations the
+    engine's schedule tests it.
+    Returns (iterations, converged, stalled, P_aff(X)), with P_aff(start) as
+    the last entry at iteration 0.
     """
     from degradability.linalg import PSD_CHECK_DENSE, PSD_CHECK_EVERY
 
@@ -444,19 +444,17 @@ def douglas_rachford_oracle(
         return float(np.linalg.eigvalsh((M + M.conj().T) / 2)[0])
 
     Z = np.asarray(start, dtype=complex)
-    converged = stalled = floor_needed = False
+    if residual(project(Z)) > feas_tol:
+        return 0, False, False, project(Z)
+    converged = stalled = False
     window_best = prev_window_best = np.inf
     for it in range(1, max_iter + 1):
         w, V = np.linalg.eigh((Z + Z.conj().T) / 2)
         X = (V * np.maximum(w, 0.0)) @ V.conj().T
         res = residual(X)
         Y = project(X)
-        psd_check = it <= PSD_CHECK_DENSE or it % PSD_CHECK_EVERY == 0
-        if min_eig(Y) >= -psd_tol:
-            converged = res <= feas_tol
-            if not converged and psd_check:
-                floor_needed = True
-                converged = residual(Y) <= feas_tol
+        due = res <= feas_tol or it <= PSD_CHECK_DENSE or it % PSD_CHECK_EVERY == 0
+        converged = due and min_eig(Y) >= -psd_tol
         if converged:
             break
         window_best = min(window_best, res)
@@ -469,7 +467,7 @@ def douglas_rachford_oracle(
             prev_window_best = window_best
             window_best = np.inf
         Z = Z + project(2 * X - Z) - X
-    return it, converged, stalled, project(X), floor_needed
+    return it, converged, stalled, project(X)
 
 
 def verify_channel_oracle(kraus, state, direction: str) -> float:

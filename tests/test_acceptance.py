@@ -216,7 +216,7 @@ def test_criterion_5_counterexample_regression() -> None:
         5,
         time.perf_counter() - started,
         60.0,
-        f"diagonal Feasible ({diag.residual_affine:.2e}); full stalls at "
+        f"diagonal Feasible ({diag.residual_affine:.2e}); full inconsistent at "
         f"{run1.residual_affine:.6f} / {run2.residual_affine:.6f} vs baseline {SEC4_STALL_BASELINE}",
     )
 

@@ -271,6 +271,20 @@ class TestEpsilonScan:
         assert verdicts[0.1] == "RuledOut"
         assert verdicts[0.4] == "Feasible"
 
+    @pytest.mark.parametrize(
+        "lo, hi, step, grid",
+        [
+            (0.1, 0.2, 0.06, [0.1, 0.16]),
+            (0.7, 0.75, 0.03, [0.7, 0.73]),
+            (0.2, 0.3, 0.05, [0.2, 0.25, 0.3]),
+            (0.45, 0.75, 0.15000000001, [0.45, 0.60000000001, 0.75]),
+        ],
+    )
+    def test_grid_stays_inside_the_range(self, lo, hi, step, grid) -> None:
+        # A step that does not divide hi - lo stops short of hi instead of
+        # passing it; a last point within rounding of hi is scanned at hi.
+        assert [row.epsilon for row in epsilon_scan(lo, hi, step).rows] == grid
+
     @pytest.mark.parametrize("args", [(-0.1, 0.4, 0.1), (0.2, 0.1, 0.1), (0.0, 0.8, 0.1)])
     def test_rejects_bad_range(self, args: tuple[float, float, float]) -> None:
         with pytest.raises(ValueError, match="3/4"):

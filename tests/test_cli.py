@@ -182,7 +182,8 @@ class TestAnalyzeState:
         out = capsys.readouterr().out
         assert rc == 2
         assert "Inconclusive" in out
-        assert "stall residual" in out
+        assert "affine residual" in out
+        assert "after 1 iteration(s)" in out
 
     def test_psd_affine_point_certifies_at_one_iteration(self, tmp_path: Path, capsys) -> None:
         # The affine projection of the first cone iterate is already PSD here,
@@ -297,6 +298,14 @@ class TestScanCommand:
         assert report["bracket"] == [0.2, 0.25]
         assert report["threshold"] == pytest.approx(0.225)
         assert [r["epsilon"] for r in report["rows"]] == [0.2, 0.25, 0.3]
+
+    def test_step_that_misses_the_top_stays_inside_the_range(self, capsys) -> None:
+        # 0.7 + 2 * 0.03 = 0.76 lies past both hi and 3/4; the grid ends at 0.73.
+        rc = main(["scan", "depolarizing", "--lo", "0.7", "--hi", "0.75", "--step", "0.03"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert [line.split(",")[0] for line in lines[1:3]] == ["0.7", "0.73"]
+        assert not any(line.startswith("0.76") for line in lines)
 
     def test_bad_range_exits_one(self, capsys) -> None:
         assert main(["scan", "depolarizing", "--lo", "0.4", "--hi", "0.2"]) == 1

@@ -241,14 +241,15 @@ class TestSolveFeasibility:
         assert out.residual_affine <= 1e-8
         assert out.certificate.completeness_defect() <= 1e-8
 
-    def test_sec4_full_system_stalls_at_recorded_floor(self):
+    def test_sec4_full_system_is_inconsistent_at_recorded_floor(self):
         alpha, a = np.sqrt(0.8), np.sqrt(0.65)
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
         system = fz.build_constraints(blocks)
         assert system.inconsistency == pytest.approx(SEC4_LINEAR_FLOOR, rel=1e-9)
         out = fz.solve_feasibility(system)
         assert out.status == "Inconclusive"
-        assert "stalled" in out.detail
+        assert out.iterations == 0
+        assert "inconsistent" in out.detail
         assert out.residual_affine == pytest.approx(SEC4_LINEAR_FLOOR, rel=1e-9)
         assert 0.5 * SEC4_STALL_BASELINE <= out.residual_affine <= 1.5 * SEC4_STALL_BASELINE
 
@@ -304,15 +305,18 @@ class TestSolveFeasibility:
         [
             ("choi16", "kraus_newton", "Kraus-form Gauss-Newton finish at iteration 32"),
             ("choi18", "affine_psd", "affine point PSD after 4 iterations"),
-            ("bell_lift", "converged", "converged in 1 iterations"),
-            ("sec4", "stalled", "projections stalled after 1000 iterations"),
-            ("sec4 budget", "budget", "projections iteration budget exhausted after 200 iterations"),
+            ("bell_lift", "affine_psd", "affine point PSD after 1 iterations"),
+            ("sec4", "inconsistent", "affine constraints linearly inconsistent, stopped after 0 iterations"),
+            ("stall", "stalled", "projections stalled after 1000 iterations"),
+            ("stall budget", "budget", "projections iteration budget exhausted after 200 iterations"),
         ],
     )
     def test_detail_reads_the_stop_reason(self, case, stop, detail):
-        config = fz.SolveConfig(max_iter=200 if case == "sec4 budget" else 1000)
-        if case.startswith("sec4"):
+        config = fz.SolveConfig(max_iter=200 if case == "stall budget" else 1000)
+        if case == "sec4":
             system = TestOneProjectionEngine.sec4_system()
+        elif case.startswith("stall"):
+            system = TestOneProjectionEngine.stall_system()
         elif case == "bell_lift":
             blocks = states.extract_blocks(states.build_fixture("bell_lift"))
             system = fz.build_constraints(blocks.swapped())
@@ -350,24 +354,35 @@ class TestOneProjectionEngine:
         blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
         return fz.build_constraints(blocks)
 
-    @pytest.mark.parametrize(
-        "case", ["choi16", "choi18", "example2", "sec4", "sec4 perturbed start"]
-    )
+    @staticmethod
+    def stall_system() -> fz.AffineSystem:
+        """A consistent E->B system (floor 9e-16) of a state that passes both filters.
+
+        Its projections stall at iteration 1000, so it exercises the stall
+        and budget stops, which the inconsistent sec4 system never reaches.
+        """
+        state = states.TripartiteState((3, 2, 3), crandn(rng(13), 18)).unit()
+        return fz.build_constraints(states.extract_blocks(state))
+
+    @pytest.mark.parametrize("case", ["choi16", "choi18", "choi8", "example2", "sec4", "stall"])
     def test_matches_two_projection_loop(self, case):
-        if case.startswith("sec4"):
+        if case == "sec4":
             system = self.sec4_system()
+        elif case == "stall":
+            system = self.stall_system()
         elif case == "example2":
             ex = states.build_fixture("example2", a=0.5, b=0.5)
             system = fz.build_constraints(states.extract_blocks(ex))
+        elif case == "choi8":
+            # Its cone iterate reaches the set at iteration 92, between two
+            # scheduled tests, so the residual alone must trigger the PSD test.
+            system = fz.build_constraints(states.extract_blocks(planted_state(2, 3, 2, 2)))
         else:
             n, p, e2 = (2, 4, 1) if case == "choi16" else (2, 3, 2)
             blocks = states.extract_blocks(planted_state(0, n, p, e2))
             system = fz.build_constraints(blocks)
-        if case == "sec4 perturbed start":
-            start = perturbed_start(system)
-        else:
-            dim = system.in_dim * system.out_dim
-            start = np.eye(dim, dtype=complex) / system.out_dim
+        dim = system.in_dim * system.out_dim
+        start = np.eye(dim, dtype=complex) / system.out_dim
         calls = 0
 
         def counted(J: np.ndarray) -> tuple[np.ndarray, float]:
@@ -376,16 +391,40 @@ class TestOneProjectionEngine:
             return system.project_and_residual(J)
 
         result = linalg.alternating_projections(counted, start=start)
-        iterations, converged, stalled, affine_point, floor_needed = douglas_rachford_oracle(
+        iterations, converged, stalled, affine_point = douglas_rachford_oracle(
             system.project, system.residual, start
         )
         assert (result.iterations, result.converged, result.stalled) == (
             iterations, converged, stalled
         )
         assert np.max(np.abs(result.affine_point - affine_point)) <= 1e-9
-        # One evaluation per iteration plus the start's, and the floor at most once.
-        assert calls == result.iterations + 1 + floor_needed
-        assert result.converged == (not case.startswith("sec4"))
+        # One evaluation on the start, one for the floor and one per iteration.
+        assert calls == result.iterations + 2
+        assert result.converged == (case not in ("sec4", "stall"))
+
+    @pytest.mark.parametrize("direction, floor", [("EtoB", 0.0606096), ("BtoE", 0.0930744)])
+    def test_inconsistent_system_stops_at_iteration_zero(self, direction, floor):
+        # The full sec4 system has no solution in either direction; the engine
+        # says so from its floor alone, before the first iteration.
+        alpha, a = np.sqrt(0.8), np.sqrt(0.65)
+        blocks = states.extract_blocks(states.build_fixture("sec4", alpha=alpha, a=a))
+        system = fz.build_constraints(dict(both_directions(blocks))[direction])
+        dim = system.in_dim * system.out_dim
+        calls = 0
+
+        def counted(J: np.ndarray) -> tuple[np.ndarray, float]:
+            nonlocal calls
+            calls += 1
+            return system.project_and_residual(J)
+
+        result = linalg.alternating_projections(
+            counted, start=np.eye(dim, dtype=complex) / system.out_dim, finish=system.kraus_newton
+        )
+        assert (result.stop, result.iterations, result.converged) == ("inconsistent", 0, False)
+        assert result.residual_affine == pytest.approx(system.inconsistency, rel=1e-12)
+        assert result.residual_affine == pytest.approx(floor, rel=1e-6)
+        # The start's projection and the floor: no iteration runs.
+        assert calls == 2
 
     def test_bent_finish_is_never_accepted(self):
         # A finish that scales its polished K K* by 1.01 breaks trace
@@ -415,6 +454,37 @@ class TestOneProjectionEngine:
         assert (result.iterations, result.stop) == (plain.iterations, plain.stop)
         assert np.array_equal(result.affine_point, plain.affine_point)
 
+    def test_finish_off_the_affine_set_is_never_accepted(self):
+        # This finish moves its polished K K* 1 % off the affine set along the
+        # set's normal, so the candidate's affine point is the polished point,
+        # which is PSD. Only the candidate's own residual keeps the engine
+        # from taking it.
+        system = fz.build_constraints(states.extract_blocks(planted_state(3, 2, 4, 1)))
+        dim = system.in_dim * system.out_dim
+        start = np.eye(dim, dtype=complex) / system.out_dim
+        offered = []
+
+        def off_the_set(K: np.ndarray) -> np.ndarray | None:
+            J = system.kraus_newton(K)
+            if J is None:
+                return None
+            bent = 1.01 * J
+            candidate = system.project(J) + bent - system.project(bent)
+            offered.append((system.residual(candidate), system.project(candidate)))
+            return candidate
+
+        result = linalg.alternating_projections(
+            system.project_and_residual, start=start, max_iter=1000, finish=off_the_set
+        )
+        plain = linalg.alternating_projections(
+            system.project_and_residual, start=start, max_iter=1000
+        )
+        residual, affine_point = offered[0]
+        assert residual > 1e-3
+        assert linalg.min_eig(affine_point) >= -linalg.PSD_TOL
+        assert result.stop != "kraus_newton"
+        assert (result.iterations, result.stop) == (plain.iterations, plain.stop)
+
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_sec4_floor_unchanged_with_finish(self, perturbed):
         system = self.sec4_system()
@@ -431,8 +501,9 @@ class TestOneProjectionEngine:
             system.project_and_residual, start=start, finish=finish
         )
         without = linalg.alternating_projections(system.project_and_residual, start=start)
-        assert calls > 0
-        assert with_finish.stop == without.stop == "stalled"
+        # An inconsistent system ends before the first iteration the finish could run at.
+        assert calls == 0
+        assert with_finish.stop == without.stop == "inconsistent"
         assert with_finish.iterations == without.iterations
         assert with_finish.residual_affine == without.residual_affine
         if not perturbed:
